@@ -1,21 +1,13 @@
-"""Modality-aware sharpness-aware minimization on a minimal autodiff core.
+"""Modality-aware sharpness-aware minimization in plain numpy.
 
 The package trains small multimodal classifiers with SGD, SAM, or the
 modality-aware SAM variants, attributing each mini-batch's loss across
 modalities with exact Shapley values and steering the sharpness perturbation
-by the dominant modality's share. Everything is deterministic per seed.
+by the dominant modality's share. Gradients come from a hand-written backward
+through the model's fixed layer stack. Everything is deterministic per seed.
 """
 
-from .autodiff import (
-    GradCheckReport,
-    ParameterVector,
-    Tape,
-    Var,
-    backward,
-    forward,
-    grad_check,
-    value_and_grad,
-)
+from .autodiff import GradCheckReport, ParameterVector, grad_check
 from .data import Dataset, SyntheticSpec, batches, generate, load_dataset, save_dataset
 from .errors import ConfigError, DimensionError, MsamError, NumericError, UsageError
 from .harness import (
@@ -74,8 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DimensionError", "MsamError", "NumericError", "UsageError",
     "Tensor", "Rng", "randn", "derive_seed",
-    "Tape", "Var", "ParameterVector", "forward", "backward", "value_and_grad",
-    "grad_check", "GradCheckReport",
+    "ParameterVector", "grad_check", "GradCheckReport",
     "EncoderSpec", "FusionSpec", "MultimodalModel", "ForwardTrace",
     "mask_inputs", "loss_and_accuracy", "evaluate",
     "ShapleyAttribution", "shapley_exact", "normalize_weights",

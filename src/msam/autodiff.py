@@ -1,21 +1,16 @@
-"""Minimal reverse-mode automatic differentiation on a dynamic tape.
+"""Flat parameter storage and finite-difference gradient checking.
 
-A `Tape` records one forward computation as a flat list of nodes; each node
-stores its value and, per parent, a vector-Jacobian closure. `backward` walks
-the list once in reverse, so gradients cost one extra sweep over the graph.
-Tapes are single-use: running `backward` twice is an error, and every new
-forward pass builds a fresh tape.
-
-Node values are plain float64 numpy arrays (scalars are 0-d). Every node is
-checked finite on creation, and gradient sweeps are checked finite as they
-accumulate, so NaN/inf surface as `NumericError` with the offending op named
-instead of leaking into parameter updates.
+`ParameterVector` holds a model's named parameter tensors and gives them one
+flat float64 view, which optimizers use to snapshot, perturb and restore the
+parameters bitwise. `grad_check` compares an analytic gradient against central
+finite differences of a loss closure; the model's hand-written backward and
+the CLI's `gradcheck` command are verified with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,212 +20,11 @@ from .tensor import Rng, Tensor
 Array = np.ndarray
 
 
-class Tape:
-    """Recorded forward pass: node values plus reverse-mode closures."""
-
-    def __init__(self):
-        self.values: list[Array] = []
-        self.parents: list[tuple[tuple[int, Callable[[Array], Array]], ...]] = []
-        self.ops: list[str] = []
-        self.consumed = False
-        self.loss_index: int | None = None
-        self.param_nodes: dict[str, int] = {}
-        self.params: "ParameterVector | None" = None
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-class Var:
-    """Handle to one tape node."""
-
-    __slots__ = ("tape", "idx")
-
-    def __init__(self, tape: Tape, idx: int):
-        self.tape = tape
-        self.idx = idx
-
-    @property
-    def value(self) -> Array:
-        return self.tape.values[self.idx]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-
-def _push(tape: Tape, value, parents, op: str) -> Var:
-    value = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(value)):
-        raise NumericError(f"{op} produced non-finite values (node {len(tape)})")
-    tape.values.append(value)
-    tape.parents.append(tuple(parents))
-    tape.ops.append(op)
-    return Var(tape, len(tape) - 1)
-
-
-def _check_tape(op: str, *vars_: Var) -> Tape:
-    tape = vars_[0].tape
-    for v in vars_:
-        if v.tape is not tape:
-            raise UsageError(f"{op} mixes nodes from different tapes")
-    return tape
-
-
-def constant(tape: Tape, value) -> Var:
-    """Leaf that does not require a gradient (inputs, masks, fixed arrays)."""
-    return _push(tape, value, (), "const")
-
-
-def add(a: Var, b: Var) -> Var:
-    tape = _check_tape("add", a, b)
-    if a.shape != b.shape:
-        raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _push(tape, a.value + b.value,
-                 ((a.idx, lambda g: g), (b.idx, lambda g: g)), "add")
-
-
-def sub(a: Var, b: Var) -> Var:
-    tape = _check_tape("sub", a, b)
-    if a.shape != b.shape:
-        raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return _push(tape, a.value - b.value,
-                 ((a.idx, lambda g: g), (b.idx, lambda g: -g)), "sub")
-
-
-def mul(a: Var, b: Var) -> Var:
-    """Elementwise product."""
-    tape = _check_tape("mul", a, b)
-    if a.shape != b.shape:
-        raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    av, bv = a.value, b.value
-    return _push(tape, av * bv,
-                 ((a.idx, lambda g: g * bv), (b.idx, lambda g: g * av)), "mul")
-
-
-def scale(a: Var, c: float) -> Var:
-    c = float(c)
-    return _push(a.tape, a.value * c, ((a.idx, lambda g: g * c),), "scale")
-
-
-def matmul(a: Var, b: Var) -> Var:
-    tape = _check_tape("matmul", a, b)
-    av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise DimensionError(f"matmul needs compatible 2-D operands, got {av.shape} @ {bv.shape}")
-    return _push(tape, av @ bv,
-                 ((a.idx, lambda g: g @ bv.T), (b.idx, lambda g: av.T @ g)), "matmul")
-
-
-def add_bias(x: Var, b: Var) -> Var:
-    """Row-broadcast bias add: (N, H) + (H,)."""
-    tape = _check_tape("add_bias", x, b)
-    if x.value.ndim != 2 or b.value.shape != (x.value.shape[1],):
-        raise DimensionError(f"add_bias expects (N, H) + (H,), got {x.shape} + {b.shape}")
-    return _push(tape, x.value + b.value,
-                 ((x.idx, lambda g: g), (b.idx, lambda g: g.sum(axis=0))), "add_bias")
-
-
-def relu(x: Var) -> Var:
-    mask = x.value > 0.0
-    return _push(x.tape, np.maximum(x.value, 0.0),
-                 ((x.idx, lambda g: g * mask),), "relu")
-
-
-def tanh(x: Var) -> Var:
-    t = np.tanh(x.value)
-    return _push(x.tape, t, ((x.idx, lambda g: g * (1.0 - t * t)),), "tanh")
-
-
-def concat(parts: Sequence[Var]) -> Var:
-    """Concatenate (N, d_i) blocks along the feature axis."""
-    if not parts:
-        raise UsageError("concat needs at least one input")
-    tape = _check_tape("concat", *parts)
-    vals = [p.value for p in parts]
-    n = vals[0].shape[0]
-    if any(v.ndim != 2 or v.shape[0] != n for v in vals):
-        raise DimensionError(f"concat expects 2-D blocks with equal rows, got {[v.shape for v in vals]}")
-    offsets = np.cumsum([0] + [v.shape[1] for v in vals])
-
-    def vjp_at(j: int):
-        lo, hi = offsets[j], offsets[j + 1]
-        return lambda g: g[:, lo:hi]
-
-    parents = tuple((p.idx, vjp_at(j)) for j, p in enumerate(parts))
-    return _push(tape, np.concatenate(vals, axis=1), parents, "concat")
-
-
-def maxout(parts: Sequence[Var]) -> Var:
-    """Elementwise max over same-shaped pieces; ties route to the lowest index."""
-    if len(parts) < 2:
-        raise UsageError("maxout needs at least two pieces")
-    tape = _check_tape("maxout", *parts)
-    vals = [p.value for p in parts]
-    shape = vals[0].shape
-    if any(v.shape != shape for v in vals):
-        raise DimensionError(f"maxout pieces must share a shape, got {[v.shape for v in vals]}")
-    stacked = np.stack(vals, axis=0)
-    arg = np.argmax(stacked, axis=0)
-
-    def vjp_at(j: int):
-        sel = arg == j
-        return lambda g: g * sel
-
-    parents = tuple((p.idx, vjp_at(j)) for j, p in enumerate(parts))
-    return _push(tape, stacked.max(axis=0), parents, "maxout")
-
-
-def asum(x: Var) -> Var:
-    """Sum of all elements, as a scalar node."""
-    shape = x.value.shape
-    return _push(x.tape, x.value.sum(),
-                 ((x.idx, lambda g: np.broadcast_to(g, shape).copy()),), "asum")
-
-
-def softmax_cross_entropy(logits: Var, labels: np.ndarray) -> Var:
-    """Mean cross-entropy of softmax(logits) against integer labels.
-
-    Fused node: the forward value uses the log-sum-exp stabilization and the
-    backward closure is the standard (softmax - onehot) / N form, so no
-    intermediate probabilities ever overflow.
-    """
-    z = logits.value
-    labels = np.asarray(labels)
-    if z.ndim != 2:
-        raise DimensionError(f"softmax_cross_entropy expects (N, C) logits, got {z.shape}")
-    n, c = z.shape
-    if n == 0:
-        raise UsageError("softmax_cross_entropy needs a non-empty batch")
-    if labels.shape != (n,):
-        raise DimensionError(f"labels shape {labels.shape} does not match batch size {n}")
-    if labels.dtype.kind not in "iu":
-        raise UsageError("labels must be integers")
-    if labels.min() < 0 or labels.max() >= c:
-        raise UsageError(f"labels must lie in [0, {c})")
-    m = z.max(axis=1, keepdims=True)
-    zs = z - m
-    ez = np.exp(zs)
-    sez = ez.sum(axis=1, keepdims=True)
-    logp = zs - np.log(sez)
-    value = -logp[np.arange(n), labels].mean()
-    softmax = ez / sez
-    onehot = np.zeros_like(z)
-    onehot[np.arange(n), labels] = 1.0
-
-    def vjp(g):
-        return ((softmax - onehot) / n) * g
-
-    return _push(logits.tape, value, ((logits.idx, vjp),), "softmax_cross_entropy")
-
-
 class ParameterVector:
     """Ordered named parameter tensors with flat-vector views.
 
     `flatten`/`load_flat` round-trip exactly (same order, same bytes), which is
     what optimizers rely on to snapshot and restore parameters bitwise.
-    Gradients accumulate into `.grad`, a flat float64 vector aligned with
-    `flatten()`; `zero_grad` resets it.
     """
 
     def __init__(self, named: Sequence[tuple[str, Tensor]]):
@@ -250,7 +44,6 @@ class ParameterVector:
             self._slices[name] = slice(off, off + t.size)
             off += t.size
         self.size = off
-        self.grad = np.zeros(off, dtype=np.float64)
 
     @property
     def names(self) -> list[str]:
@@ -294,76 +87,6 @@ class ParameterVector:
             t.data = arr
             self._tensors[name] = t
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros(self.size, dtype=np.float64)
-
-
-def forward(fn, params: ParameterVector, inputs) -> tuple[float, Tape]:
-    """Run fn(leaves, inputs) on a fresh tape; returns (scalar loss, tape).
-
-    `fn` receives a mapping from parameter name to leaf Var and must return a
-    scalar Var on the same tape.
-    """
-    tape = Tape()
-    tape.params = params
-    leaves: dict[str, Var] = {}
-    for name in params.names:
-        v = _push(tape, params.view(name), (), f"param:{name}")
-        tape.param_nodes[name] = v.idx
-        leaves[name] = v
-    # overflow is reported as NumericError by the per-node finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = fn(leaves, inputs)
-    if not isinstance(out, Var) or out.tape is not tape:
-        raise UsageError("forward fn must return a Var on the tape it was given")
-    if out.value.shape != ():
-        raise UsageError(f"loss must be scalar, got shape {out.value.shape}")
-    tape.loss_index = out.idx
-    return float(out.value), tape
-
-
-def backward(tape: Tape) -> Array:
-    """Reverse sweep from the recorded loss node.
-
-    Returns the flat gradient (aligned with `params.flatten()`) and accumulates
-    it into `params.grad`. A tape can be swept once; reuse raises.
-    """
-    if tape.consumed:
-        raise UsageError("backward already ran on this tape")
-    if tape.loss_index is None or tape.params is None:
-        raise UsageError("backward needs a tape built by forward()")
-    tape.consumed = True
-    grads: list[Array | None] = [None] * len(tape)
-    grads[tape.loss_index] = np.ones((), dtype=np.float64)
-    for i in range(tape.loss_index, -1, -1):
-        g = grads[i]
-        if g is None:
-            continue
-        for pidx, vjp in tape.parents[i]:
-            # overflow is reported as NumericError by the finiteness check below
-            with np.errstate(over="ignore", invalid="ignore"):
-                contrib = vjp(g)
-            if not np.all(np.isfinite(contrib)):
-                raise NumericError(f"backward through {tape.ops[i]} produced non-finite gradient")
-            prev = grads[pidx]
-            grads[pidx] = contrib if prev is None else prev + contrib
-    params = tape.params
-    flat = np.zeros(params.size, dtype=np.float64)
-    for name, idx in tape.param_nodes.items():
-        g = grads[idx]
-        if g is not None:
-            flat[params.slice_of(name)] = np.asarray(g).ravel()
-    params.grad = params.grad + flat
-    return flat
-
-
-def value_and_grad(fn, params: ParameterVector, inputs) -> tuple[float, Array]:
-    """One forward/backward pair; resets `params.grad` before accumulating."""
-    loss, tape = forward(fn, params, inputs)
-    params.zero_grad()
-    grad = backward(tape)
-    return loss, grad
-
 
 @dataclass
 class GradCheckReport:
@@ -378,29 +101,26 @@ class GradCheckReport:
 
 
 def grad_check(
-    fn,
+    loss_fn: Callable[[], float],
     params: ParameterVector,
-    inputs,
+    analytic_grad: Array,
     *,
     h: float = 1e-5,
     tol: float = 1e-4,
     max_coords: int = 100,
     rng: Rng | None = None,
     coords: Sequence[int] | None = None,
-    analytic_grad: Array | None = None,
 ) -> GradCheckReport:
-    """Compare reverse-mode gradients against central finite differences.
+    """Compare `analytic_grad` against central finite differences of `loss_fn`.
 
-    Relative error per coordinate is |g - fd| / max(1, |g|, |fd|). Coordinates
-    default to all of them when the parameter count is small, otherwise a
-    seeded sample. `analytic_grad` substitutes the tape gradient, which lets
-    tests inject faults and watch the check fail. Parameters are restored to
-    their entry values before returning.
+    `loss_fn` takes no arguments and returns the scalar loss at the current
+    parameters. Relative error per coordinate is |g - fd| / max(1, |g|, |fd|).
+    Coordinates default to all of them when the parameter count is small,
+    otherwise a seeded sample. Parameters are restored to their entry values
+    before returning.
     """
     if not 0.0 < h <= 1e-2:
         raise UsageError(f"step size h must be in (0, 1e-2], got {h}")
-    if analytic_grad is None:
-        _, analytic_grad = value_and_grad(fn, params, inputs)
     g = np.asarray(analytic_grad, dtype=np.float64)
     if g.shape != (params.size,):
         raise DimensionError(f"analytic gradient shape {g.shape} != ({params.size},)")
@@ -423,10 +143,10 @@ def grad_check(
             probe = base.copy()
             probe[i] = base[i] + h
             params.load_flat(probe)
-            lp, _ = forward(fn, params, inputs)
+            lp = loss_fn()
             probe[i] = base[i] - h
             params.load_flat(probe)
-            lm, _ = forward(fn, params, inputs)
+            lm = loss_fn()
             fd = (lp - lm) / (2.0 * h)
             rel = abs(g[i] - fd) / max(1.0, abs(g[i]), abs(fd))
             if rel > max_rel:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
+from .autodiff import grad_check
 from .data import SyntheticSpec, batches, generate, save_dataset
 from .errors import ConfigError, DimensionError, MsamError, NumericError, UsageError
 from .harness import (
@@ -26,7 +26,7 @@ from .harness import (
     run,
 )
 from .metrics import convergence_report, landscape_grid
-from .model import MultimodalModel
+from .model import MultimodalModel, evaluate
 from .shapley import attribute_batch
 from .tensor import Rng, derive_seed
 
@@ -207,8 +207,9 @@ def _cmd_gradcheck(args) -> int:
     )
     train, _val, _test = generate(config.data)
     xs, ys = next(batches(train, config.batch_size, derive_seed(config.seed, 3, 0)))
-    report = ad.grad_check(
-        model.tape_loss, model.params, (xs, ys),
+    _, grad = model.loss_value_and_grad(xs, ys)
+    report = grad_check(
+        lambda: evaluate(model, xs, ys)[0], model.params, grad,
         h=args.h, tol=args.tol, max_coords=args.coords, rng=Rng(derive_seed(config.seed, 5)),
     )
     verdict = "PASS" if report.passed else "FAIL"

@@ -11,7 +11,7 @@ A run is deterministic end to end per seed: data generation, model init,
 per-epoch shuffles, and every optimizer step use independent streams derived
 from the one seed. The training loop asserts the optimizer pass budget every
 step (one taped pass for SGD, two for perturbed SAM/M-SAM steps, plus the
-2**M - 1 masked forwards of a Shapley recomputation).
+2**M or 2**M - 1 masked forwards of a Shapley recomputation).
 """
 
 from __future__ import annotations
@@ -324,18 +324,23 @@ class RunRecord:
 def _assert_pass_budget(
     model: MultimodalModel, cfg: OptimConfig, rep: StepReport, taped0: int, masked0: int
 ) -> None:
-    """Verify one step consumed exactly its documented forward-pass budget."""
-    if cfg.kind == "msam_branch":
-        return  # its profile varies with M and the cache; documented, not asserted
+    """Verify one step consumed exactly its documented forward-pass budget.
+
+    A Shapley recomputation costs 2**M masked forwards, one fewer when the
+    loss target seeds the full coalition with the step's own full-batch loss.
+    `msam_branch` spends one masked forward on that loss and one taped pass
+    per branch group (dominant, then the rest when M > 1).
+    """
     taped = model.counters["taped"] - taped0
     masked = model.counters["masked_forward"] - masked0
-    if cfg.kind == "sgd":
-        want_taped, want_masked = 1, 0
-    elif cfg.kind == "sam":
-        want_taped, want_masked = (2 if rep.eps_norm > 0.0 else 1), 0
-    else:
-        want_taped = 2 if rep.eps_norm > 0.0 else 1
-        want_masked = (2**model.n_modalities - 1) if rep.shapley_recomputed else 0
+    want_taped = 2 if rep.eps_norm > 0.0 else 1
+    want_masked = 0
+    if rep.shapley_recomputed:
+        full = 2**model.n_modalities
+        want_masked = full - 1 if cfg.shapley_target == "loss" else full
+    if cfg.kind == "msam_branch":
+        want_taped += 1 if model.n_modalities > 1 else 0
+        want_masked += 1
     if (taped, masked) != (want_taped, want_masked):
         raise MsamError(
             f"step {rep.t}: pass budget violated for {cfg.kind}: "

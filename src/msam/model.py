@@ -5,11 +5,12 @@ two-layer head and sums the per-modality logits. Early fusion concatenates the
 encoder features and applies a maxout layer (elementwise max over `pieces`
 affine maps) followed by a linear head.
 
-There are two forward paths on purpose. `forward_masked` is a plain numpy
-evaluation used for coalition masking, evaluation, and as a tape-free oracle
-in the tests; `tape_loss`/`tape_loss_terms` build the same computation on an
-autodiff tape for training. A coalition is always the set of modalities that
-stay active: everything else has its inputs zeroed before encoding.
+One layer-stack forward serves every caller. `forward_masked` runs it for
+coalition masking and evaluation and never raises on overflow; the training
+passes (`loss_value_and_grad`, `terms_value_and_grad`) run it with every
+linear layer checked finite, then apply a hand-written backward to the
+activations it returns. A coalition is always the set of modalities that stay
+active: everything else has its inputs zeroed before encoding.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .errors import ConfigError, DimensionError, UsageError
+from .autodiff import ParameterVector
+from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .tensor import Rng, Tensor, derive_seed, randn
 
 Array = np.ndarray
@@ -73,16 +74,61 @@ class FusionSpec:
 
 @dataclass
 class ForwardTrace:
-    """Intermediate values of one plain forward pass."""
+    """Intermediate values of one forward pass, as the backward reads them.
 
-    features: list[Array]
+    `acts[m]` is modality m's masked input followed by the activation of each
+    of its encoder layers. `hidden` holds each late-fusion head's hidden
+    activation, or for early fusion the concatenated features and the stacked
+    maxout pieces. `fused` is the maxout output (early) or the logits (late).
+    """
+
+    acts: list[list[Array]]
+    hidden: list[Array]
     fused: Array
     logits: Array
     keep: tuple[int, ...]
 
+    @property
+    def features(self) -> list[Array]:
+        """Each modality's encoder output."""
+        return [a[-1] for a in self.acts]
 
-def _act_plain(name: str):
-    return np.tanh if name == "tanh" else (lambda a: np.maximum(a, 0.0))
+
+def _relu(z: Array) -> Array:
+    return np.maximum(z, 0.0)
+
+
+_ACT = {"relu": _relu, "tanh": np.tanh}
+
+
+def _act_backward(name: str, g: Array, a: Array) -> Array:
+    """Gradient through relu or tanh, read off the activation `a` it produced."""
+    return g * (1.0 - a * a) if name == "tanh" else g * (a > 0.0)
+
+
+def _log_softmax(z: Array) -> tuple[Array, Array, Array]:
+    """Log-sum-exp stabilized log-softmax of rows of `z`, with exp(z - max)
+    and its row sums, so no intermediate probability overflows."""
+    zs = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(zs)
+    sez = ez.sum(axis=1, keepdims=True)
+    return zs - np.log(sez), ez, sez
+
+
+def _cross_entropy(z: Array, labels: Array, onehot: Array, w: float) -> tuple[float, Array]:
+    """`w` times the mean softmax cross-entropy of logits `z`, and its gradient
+    in the fused (softmax - onehot) / N form."""
+    n = z.shape[0]
+    logp, ez, sez = _log_softmax(z)
+    value = -logp[np.arange(n), labels].mean()
+    return value * w, ((ez / sez - onehot) / n) * w
+
+
+def _check_labels(labels: Array, classes: int) -> None:
+    if labels.dtype.kind not in "iu":
+        raise UsageError("labels must be integers")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise UsageError(f"labels must lie in [0, {classes})")
 
 
 def mask_inputs(xs: Sequence[Array], keep: Iterable[int], n_modalities: int) -> list[Array]:
@@ -98,9 +144,9 @@ class MultimodalModel:
     """Encoders + fusion head with named parameters and pass counters.
 
     Weights initialize to randn / sqrt(fan_in) from a seed-derived stream,
-    biases to zero (omitted entirely when `bias=False`). `counters` tracks
-    taped forward/backward passes and plain masked forwards so the training
-    harness can assert the per-step pass budget.
+    biases to zero (omitted entirely when `bias=False`). `counters` counts
+    forward/backward passes ("taped") and plain masked forwards so the
+    training harness can assert the per-step pass budget.
     """
 
     def __init__(
@@ -144,7 +190,7 @@ class MultimodalModel:
             for j in range(fusion.pieces):
                 linear(f"fusion.p{j}", total, fusion.width)
             linear("head.out", fusion.width, classes)
-        self.params = ad.ParameterVector(items)
+        self.params = ParameterVector(items)
 
     @property
     def n_modalities(self) -> int:
@@ -174,144 +220,163 @@ class MultimodalModel:
             raise DimensionError(f"labels shape {np.asarray(labels).shape} != ({n},)")
         return int(n)
 
-    # plain (tape-free) path
+    def _linear(self, h: Array, name: str, checked: bool) -> Array:
+        z = h @ self.params.view(f"{name}.w")
+        if self.bias:
+            z = z + self.params.view(f"{name}.b")
+        if checked and not np.isfinite(z).all():
+            raise NumericError(f"layer {name} produced non-finite values")
+        return z
 
-    def _encode_plain(self, m: int, x: Array) -> Array:
-        es = self.encoders[m]
-        act = _act_plain(es.activation)
-        h = x
-        for i in range(len(es.hidden)):
-            h = h @ self.params.view(f"enc{m}.l{i}.w")
+    def _forward(self, masked: list[Array], keep: tuple[int, ...], checked: bool) -> ForwardTrace:
+        """The layer stack on already-masked inputs.
+
+        With `checked`, the first linear layer whose output is not finite
+        raises NumericError naming it.
+        """
+        acts = []
+        for m, es in enumerate(self.encoders):
+            act = _ACT[es.activation]
+            a = [masked[m]]
+            for i in range(len(es.hidden)):
+                a.append(act(self._linear(a[-1], f"enc{m}.l{i}", checked)))
+            acts.append(a)
+        if self.fusion.mode == "late":
+            hidden, logits = [], None
+            for m, a in enumerate(acts):
+                h = _ACT[self.encoders[m].activation](self._linear(a[-1], f"head{m}.l0", checked))
+                hidden.append(h)
+                out = self._linear(h, f"head{m}.l1", checked)
+                logits = out if logits is None else logits + out
+            return ForwardTrace(acts, hidden, logits, logits, keep)
+        joint = np.concatenate([a[-1] for a in acts], axis=1)
+        pieces = np.stack(
+            [self._linear(joint, f"fusion.p{j}", checked) for j in range(self.fusion.pieces)], axis=0)
+        fused = pieces.max(axis=0)
+        logits = self._linear(fused, "head.out", checked)
+        return ForwardTrace(acts, [joint, pieces], fused, logits, keep)
+
+    def _backward(self, trace: ForwardTrace, g: Array) -> Array:
+        """Flat parameter gradient of one term, given its logit gradient `g`.
+
+        Each parameter is used once per term, so every slice is written once.
+        Maxout routes a tie to its lowest piece. The pieces' gradients reach
+        the concatenated features last piece first: floating-point sums
+        depend on order, and this one is pinned by the golden gradient bytes.
+        """
+        flat = np.zeros(self.params.size, dtype=np.float64)
+        view, slice_of = self.params.view, self.params.slice_of
+
+        def linear_grads(name: str, h: Array, gz: Array) -> None:
+            flat[slice_of(f"{name}.w")] = (h.T @ gz).ravel()
             if self.bias:
-                h = h + self.params.view(f"enc{m}.l{i}.b")
-            h = act(h)
-        return h
+                flat[slice_of(f"{name}.b")] = gz.sum(axis=0)
+
+        if self.fusion.mode == "late":
+            g_feats = []
+            for m, es in enumerate(self.encoders):
+                h = trace.hidden[m]
+                linear_grads(f"head{m}.l1", h, g)
+                gz = _act_backward(es.activation, g @ view(f"head{m}.l1.w").T, h)
+                linear_grads(f"head{m}.l0", trace.acts[m][-1], gz)
+                g_feats.append(gz @ view(f"head{m}.l0.w").T if es.hidden else None)
+        else:
+            joint, pieces = trace.hidden
+            linear_grads("head.out", trace.fused, g)
+            g_fused = g @ view("head.out.w").T
+            arg = np.argmax(pieces, axis=0)
+            g_joint = None
+            for j in reversed(range(self.fusion.pieces)):
+                gj = g_fused * (arg == j)
+                linear_grads(f"fusion.p{j}", joint, gj)
+                contrib = gj @ view(f"fusion.p{j}.w").T
+                g_joint = contrib if g_joint is None else g_joint + contrib
+            bounds = np.cumsum([0] + [es.out_dim for es in self.encoders])
+            g_feats = [g_joint[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for m, es in enumerate(self.encoders):
+            g = g_feats[m]
+            for i in reversed(range(len(es.hidden))):
+                gz = _act_backward(es.activation, g, trace.acts[m][i + 1])
+                linear_grads(f"enc{m}.l{i}", trace.acts[m][i], gz)
+                if i:
+                    g = gz @ view(f"enc{m}.l{i}.w").T
+        return flat
+
+    def _value_and_grad(self, xs: Sequence[Array], labels: Array, terms) -> tuple[float, Array]:
+        """Weighted sum of masked mean cross-entropies and its flat gradient.
+
+        Runs one checked forward per (keep, weight) term, a weight of None
+        meaning 1, then the backward from the last term to the first, which
+        is the summation order the golden gradient bytes pin. The loss and
+        the flat gradient are each checked finite once.
+        """
+        labels = np.asarray(labels)
+        n = self._check_inputs(xs, labels)
+        _check_labels(labels, self.classes)
+        xs = [np.asarray(x, dtype=np.float64) for x in xs]
+        onehot = np.zeros((n, self.classes), dtype=np.float64)
+        onehot[np.arange(n), labels] = 1.0
+        loss, passes, grad = None, [], None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for keep, weight in terms:
+                trace = self._forward(mask_inputs(xs, keep, self.n_modalities), keep, True)
+                w = 1.0 if weight is None else float(weight)
+                value, g = _cross_entropy(trace.logits, labels, onehot, w)
+                loss = value if loss is None else loss + value
+                passes.append((trace, g))
+            if not np.isfinite(loss):
+                raise NumericError(f"loss is non-finite ({float(loss)})")
+            for trace, g in reversed(passes):
+                flat = self._backward(trace, g)
+                grad = flat if grad is None else grad + flat
+        if not np.isfinite(grad).all():
+            first = int(np.argmin(np.isfinite(grad)))
+            name = next(k for k in self.params.names if first < self.params.slice_of(k).stop)
+            raise NumericError(f"gradient of {name} is non-finite")
+        return float(loss), grad
 
     def forward_masked(self, xs: Sequence[Array], keep: Iterable[int]) -> ForwardTrace:
         """Plain forward with only the coalition `keep` active.
 
-        Unlike the taped path this never raises on overflow: evaluation of a
-        diverged model reports inf/nan values as they are.
+        Unlike the training passes this never raises on overflow: evaluation
+        of a diverged model reports inf/nan values as they are.
         """
         self._check_inputs(xs)
         self.counters["masked_forward"] += 1
         keep = tuple(sorted(frozenset(keep)))
         masked = mask_inputs([np.asarray(x, dtype=np.float64) for x in xs], keep, self.n_modalities)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._forward_masked_inner(masked, keep)
-
-    def _forward_masked_inner(self, masked: list[Array], keep: tuple[int, ...]) -> ForwardTrace:
-        feats = [self._encode_plain(m, masked[m]) for m in range(self.n_modalities)]
-        if self.fusion.mode == "late":
-            logits = None
-            for m in range(self.n_modalities):
-                act = _act_plain(self.encoders[m].activation)
-                h = feats[m] @ self.params.view(f"head{m}.l0.w")
-                if self.bias:
-                    h = h + self.params.view(f"head{m}.l0.b")
-                h = act(h)
-                out = h @ self.params.view(f"head{m}.l1.w")
-                if self.bias:
-                    out = out + self.params.view(f"head{m}.l1.b")
-                logits = out if logits is None else logits + out
-            fused = logits
-        else:
-            joint = np.concatenate(feats, axis=1)
-            pieces = []
-            for j in range(self.fusion.pieces):
-                p = joint @ self.params.view(f"fusion.p{j}.w")
-                if self.bias:
-                    p = p + self.params.view(f"fusion.p{j}.b")
-                pieces.append(p)
-            fused = np.stack(pieces, axis=0).max(axis=0)
-            logits = fused @ self.params.view("head.out.w")
-            if self.bias:
-                logits = logits + self.params.view("head.out.b")
-        return ForwardTrace(features=feats, fused=fused, logits=logits, keep=keep)
+            return self._forward(masked, keep, False)
 
     def forward(self, xs: Sequence[Array]) -> ForwardTrace:
         """Plain forward with every modality active."""
         return self.forward_masked(xs, range(self.n_modalities))
 
-    # taped path
-
-    def _tape_linear(self, leaves, h, name: str):
-        h = ad.matmul(h, leaves[f"{name}.w"])
-        if self.bias:
-            h = ad.add_bias(h, leaves[f"{name}.b"])
-        return h
-
-    def _tape_logits(self, tape, leaves, masked: list[Array]):
-        feats = []
-        for m, es in enumerate(self.encoders):
-            h = ad.constant(tape, masked[m])
-            act = ad.tanh if es.activation == "tanh" else ad.relu
-            for i in range(len(es.hidden)):
-                h = act(self._tape_linear(leaves, h, f"enc{m}.l{i}"))
-            feats.append(h)
-        if self.fusion.mode == "late":
-            logits = None
-            for m in range(self.n_modalities):
-                act = ad.tanh if self.encoders[m].activation == "tanh" else ad.relu
-                h = act(self._tape_linear(leaves, feats[m], f"head{m}.l0"))
-                out = self._tape_linear(leaves, h, f"head{m}.l1")
-                logits = out if logits is None else ad.add(logits, out)
-            return logits
-        joint = ad.concat(feats)
-        pieces = [self._tape_linear(leaves, joint, f"fusion.p{j}") for j in range(self.fusion.pieces)]
-        return self._tape_linear(leaves, ad.maxout(pieces), "head.out")
-
-    def tape_loss(self, leaves, inputs):
-        """Taped mean cross-entropy on the full (unmasked) batch."""
-        xs, labels = inputs
-        return self.tape_loss_terms(leaves, (xs, labels, ((tuple(range(self.n_modalities)), None),)))
-
-    def tape_loss_terms(self, leaves, inputs):
-        """Taped weighted sum of masked cross-entropy terms.
-
-        `terms` is a sequence of (keep, weight) pairs; a weight of None means
-        the raw unscaled loss (so a single full-coalition term builds exactly
-        the same graph as `tape_loss`).
-        """
-        xs, labels, terms = inputs
-        if not terms:
-            raise UsageError("tape_loss_terms needs at least one term")
-        n = self._check_inputs(xs, np.asarray(labels))
-        del n
-        tape = next(iter(leaves.values())).tape
-        xs = [np.asarray(x, dtype=np.float64) for x in xs]
-        total = None
-        for keep, weight in terms:
-            masked = mask_inputs(xs, keep, self.n_modalities)
-            logits = self._tape_logits(tape, leaves, masked)
-            ce = ad.softmax_cross_entropy(logits, np.asarray(labels))
-            term = ce if weight is None else ad.scale(ce, float(weight))
-            total = term if total is None else ad.add(total, term)
-        return total
-
     def loss_value_and_grad(self, xs: Sequence[Array], labels: Array) -> tuple[float, Array]:
-        """One taped forward/backward on the full batch; counts as one pass."""
+        """Mean cross-entropy on the full batch and its flat gradient; one taped pass."""
         self.counters["taped"] += 1
-        return ad.value_and_grad(self.tape_loss, self.params, (xs, labels))
+        return self._value_and_grad(xs, labels, ((tuple(range(self.n_modalities)), None),))
 
     def terms_value_and_grad(
         self, xs: Sequence[Array], labels: Array, terms
     ) -> tuple[float, Array]:
-        """Taped forward/backward of a weighted masked-loss sum.
+        """Weighted sum of masked losses and its flat gradient; one taped pass.
 
-        With an empty term list this is the zero function (no pass consumed).
+        `terms` is a sequence of (keep, weight) pairs; a weight of None means
+        the raw unscaled loss. With an empty term list this is the zero
+        function (no pass consumed).
         """
         if not terms:
             return 0.0, np.zeros(self.params.size, dtype=np.float64)
         self.counters["taped"] += 1
-        return ad.value_and_grad(self.tape_loss_terms, self.params, (xs, labels, terms))
+        return self._value_and_grad(xs, labels, terms)
 
 
 def loss_and_accuracy(logits: Array, labels: Array) -> tuple[float, float]:
     """Mean softmax cross-entropy and top-1 accuracy of raw logits.
 
-    Uses the same log-sum-exp arithmetic as the taped loss node, so plain and
-    taped evaluations of one batch agree to rounding error.
+    Uses the same log-sum-exp arithmetic as the training loss, so plain and
+    taped evaluations of one batch agree bit for bit.
     """
     z = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
@@ -319,15 +384,10 @@ def loss_and_accuracy(logits: Array, labels: Array) -> tuple[float, float]:
         raise DimensionError(f"got logits {z.shape} with labels {labels.shape}")
     if z.shape[0] == 0:
         raise UsageError("need a non-empty batch")
-    if labels.min() < 0 or labels.max() >= z.shape[1]:
-        raise UsageError(f"labels must lie in [0, {z.shape[1]})")
+    _check_labels(labels, z.shape[1])
     # non-finite logits (diverged model) pass through as inf/nan, not errors
     with np.errstate(over="ignore", invalid="ignore"):
-        m = z.max(axis=1, keepdims=True)
-        zs = z - m
-        ez = np.exp(zs)
-        sez = ez.sum(axis=1, keepdims=True)
-        logp = zs - np.log(sez)
+        logp, _, _ = _log_softmax(z)
         loss = float(-logp[np.arange(z.shape[0]), labels].mean())
         acc = float(np.mean(np.argmax(z, axis=1) == labels))
     return loss, acc

@@ -240,8 +240,9 @@ def msam_step(
         nu_d * grad L(theta + eps) + (1 - nu_d) * grad L(theta) + wd * theta
 
     Costs two taped passes plus the 2**M - 1 masked forwards of the Shapley
-    attribution (the full-coalition value reuses the first pass); one taped
-    pass when the perturbation is degenerate.
+    attribution (the loss target reuses the first pass for the full
+    coalition; the accuracy target costs 2**M); one taped pass when the
+    perturbation is degenerate.
     """
     t = state.t + 1
     lr_t, rho_t = cfg.schedule.at(cfg.lr, cfg.rho, t)

@@ -1,9 +1,9 @@
 """Dense float64 tensors and the deterministic PRNG used everywhere else.
 
-The `Tensor` wrapper enforces the library-wide numeric contract: C-contiguous
-float64 storage, read-only buffers, explicit shape checks, and a finiteness
-check after every operation. Heavy lifting is delegated to numpy; the wrapper
-exists so that violations surface as library errors instead of silent NaNs.
+The `Tensor` wrapper enforces the library-wide numeric contract for stored
+parameters: C-contiguous float64 storage, read-only buffers, and a finiteness
+check on construction and scaling, so violations surface as library errors
+instead of silent NaNs.
 
 Randomness comes from a counter-based SplitMix64 generator with a Box-Muller
 normal transform. The exact output stream is part of the reproducibility
@@ -124,8 +124,8 @@ def _wrap(arr: np.ndarray, op: str) -> "Tensor":
 class Tensor:
     """Immutable dense float64 array.
 
-    Values are validated finite on construction and after every operation;
-    buffers are read-only, so a Tensor can be shared freely once returned.
+    Values are validated finite on construction and after `scale`; buffers
+    are read-only, so a Tensor can be shared freely once returned.
     """
 
     __slots__ = ("data",)
@@ -147,10 +147,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -159,50 +155,12 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    def _binary(self, other: "Tensor", fn, op: str) -> "Tensor":
-        if not isinstance(other, Tensor):
-            raise UsageError(f"{op} expects a Tensor operand")
-        if self.shape != other.shape:
-            raise DimensionError(f"{op} shape mismatch: {self.shape} vs {other.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _wrap(fn(self.data, other.data), op)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return self._binary(other, np.add, "add")
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self._binary(other, np.subtract, "sub")
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        """Elementwise (Hadamard) product."""
-        return self._binary(other, np.multiply, "mul")
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        if not isinstance(other, Tensor):
-            raise UsageError("matmul expects a Tensor operand")
-        if self.ndim != 2 or other.ndim != 2:
-            raise DimensionError(
-                f"matmul needs 2-D operands, got {self.shape} @ {other.shape}"
-            )
-        if self.shape[1] != other.shape[0]:
-            raise DimensionError(
-                f"matmul inner dimensions differ: {self.shape} @ {other.shape}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _wrap(self.data @ other.data, "matmul")
-
     def scale(self, c: float) -> "Tensor":
         """Multiply every element by the scalar c."""
         if not np.isfinite(c):
             raise NumericError("scale factor must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
             return _wrap(self.data * float(c), "scale")
-
-    def relu(self) -> "Tensor":
-        return _wrap(np.maximum(self.data, 0.0), "relu")
-
-    def tanh(self) -> "Tensor":
-        return _wrap(np.tanh(self.data), "tanh")
 
 
 def randn(rng: Rng, shape: tuple[int, ...]) -> Tensor:

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from msam import harness
-from msam.errors import ConfigError, NumericError
+from msam.errors import ConfigError, MsamError, NumericError
 from msam.harness import (compare, config_hash, load_checkpoint, load_config,
                           preset, resolve_config, run)
 
@@ -182,6 +182,21 @@ def test_sgd_pass_budget():
     raw["optimizer"].update(kind="sgd")
     rec = run(resolve_config(raw))
     assert rec.model.counters["taped"] == len(rec.steps)
+
+
+@pytest.mark.parametrize("kind", ["msam", "msam_branch"])
+@pytest.mark.parametrize("target", ["loss", "accuracy"])
+def test_msam_pass_budget_per_shapley_target(kind, target):
+    raw = tiny_raw(epochs=1)
+    raw["optimizer"].update(kind=kind, shapley_target=target)
+    cfg = resolve_config(raw)
+    rec = run(cfg)  # asserts the budget after every step
+    assert len(rec.steps) == 3 and all(s.shapley_recomputed for s in rec.steps)
+    # a step that spent no passes at all is still caught
+    counters = rec.model.counters
+    with pytest.raises(MsamError, match="pass budget violated"):
+        harness._assert_pass_budget(rec.model, cfg.optimizer, rec.steps[-1],
+                                    counters["taped"], counters["masked_forward"])
 
 
 def test_run_writes_artifacts(tmp_path):

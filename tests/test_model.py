@@ -1,8 +1,7 @@
 """Multimodal model tests.
 
 Coalition masking is checked against hand-built numpy forward passes, and the
-taped training path is checked against the plain evaluation path on the same
-batch, so the two implementations vouch for each other.
+training loss is checked against the plain evaluation of the same batch.
 """
 
 import numpy as np
@@ -196,6 +195,8 @@ def test_loss_and_accuracy_validation():
         loss_and_accuracy(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(UsageError):
         loss_and_accuracy(np.zeros((2, 2)), np.array([0, 2]))
+    with pytest.raises(UsageError):
+        loss_and_accuracy(np.zeros((2, 2)), np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("build", [late_model, early_model])

@@ -299,7 +299,7 @@ def test_msam_shapley_every_caches_weights():
     state = OptimState(model.n_params)
     flags = [msam_step(model, xs, labels, state, cfg).shapley_recomputed for _ in range(7)]
     assert flags == [True, False, False, True, False, False, True]
-    # 2**M - 1 masked forwards per recompute (full coalition reuses the tape)
+    # 2**M - 1 masked forwards per recompute (full coalition reuses the first pass)
     assert model.counters["masked_forward"] == 3 * 3
 
 

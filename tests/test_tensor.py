@@ -7,7 +7,7 @@ cannot hide behind itself.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from msam.errors import DimensionError, NumericError, UsageError
 from msam.tensor import Rng, Tensor, derive_seed, randn
@@ -107,48 +107,10 @@ def test_split_streams_are_distinct():
     assert not np.array_equal(a, Rng(99).raw64(8))
 
 
-def test_matmul_hand_cases():
-    a = Tensor([[1.0, 2.0]])
-    b = Tensor([[3.0], [4.0]])
-    assert_array_equal((a @ b).data, [[11.0]])
-    m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    eye = Tensor(np.eye(2))
-    assert_array_equal((m @ eye).data, m.data)
-
-
-def test_matmul_associativity():
-    rng = Rng(4)
-    a, b, c = (randn(rng, (4, 4)) for _ in range(3))
-    assert_allclose(((a @ b) @ c).data, (a @ (b @ c)).data, atol=1e-9, rtol=0)
-
-
-def test_matmul_transpose_identity():
-    rng = Rng(6)
-    a, b = randn(rng, (3, 5)), randn(rng, (5, 2))
-    assert_allclose((a @ b).data.T, (Tensor(b.data.T) @ Tensor(a.data.T)).data, atol=1e-12, rtol=0)
-
-
 def test_elementwise_hand_cases():
     x = Tensor([-1.0, 0.0, 2.0])
-    y = Tensor([5.0, 6.0, 7.0])
-    assert_array_equal(x.relu().data, [0.0, 0.0, 2.0])
-    assert_array_equal((x + y).data, [4.0, 6.0, 9.0])
-    assert_array_equal((y - x).data, [6.0, 6.0, 5.0])
-    assert_array_equal((x * y).data, [-5.0, 0.0, 14.0])
     assert_array_equal(x.scale(2.0).data, [-2.0, 0.0, 4.0])
-    assert_allclose(Tensor([0.0]).tanh().data, [0.0], atol=0)
-    assert_allclose(Tensor([1e3]).tanh().data, [1.0], atol=1e-12)
-
-
-def test_shape_mismatch_raises():
-    with pytest.raises(DimensionError):
-        Tensor([1.0]) + Tensor([1.0, 2.0])
-    with pytest.raises(DimensionError):
-        Tensor([[1.0, 2.0]]) @ Tensor([[1.0, 2.0]])
-    with pytest.raises(DimensionError):
-        Tensor([1.0, 2.0]) @ Tensor([1.0, 2.0])
-    with pytest.raises(UsageError):
-        Tensor([1.0]) + 1.0  # type: ignore[operator]
+    assert_array_equal(x.scale(-0.5).data, [0.5, -0.0, -1.0])
 
 
 def test_item_validation():
