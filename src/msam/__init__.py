@@ -59,13 +59,13 @@ from .shapley import (
     normalize_weights,
     shapley_exact,
 )
-from .tensor import Rng, Tensor, derive_seed, randn
+from .tensor import Rng, derive_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DimensionError", "MsamError", "NumericError", "UsageError",
-    "Tensor", "Rng", "randn", "derive_seed",
+    "Rng", "derive_seed",
     "ParameterVector", "grad_check", "GradCheckReport",
     "EncoderSpec", "FusionSpec", "MultimodalModel", "ForwardTrace",
     "mask_inputs", "loss_and_accuracy", "evaluate",

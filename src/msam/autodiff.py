@@ -1,10 +1,10 @@
 """Flat parameter storage and finite-difference gradient checking.
 
-`ParameterVector` holds a model's named parameter tensors and gives them one
-flat float64 view, which optimizers use to snapshot, perturb and restore the
-parameters bitwise. `grad_check` compares an analytic gradient against central
-finite differences of a loss closure; the model's hand-written backward and
-the CLI's `gradcheck` command are verified with it.
+`ParameterVector` stores a model's named parameters in one flat, read-only
+float64 buffer, which optimizers snapshot, perturb and restore bitwise as a
+whole. `grad_check` compares an analytic gradient against central finite
+differences of a loss closure; the model's hand-written backward and the
+CLI's `gradcheck` command are verified with it.
 """
 
 from __future__ import annotations
@@ -13,48 +13,52 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from .errors import DimensionError, NumericError, UsageError
-from .tensor import Rng, Tensor
+from .tensor import Rng
 
 Array = np.ndarray
 
 
 class ParameterVector:
-    """Ordered named parameter tensors with flat-vector views.
+    """Ordered named parameters in one flat read-only float64 buffer.
 
+    Each name reads through a read-only reshaped view of the buffer.
     `flatten`/`load_flat` round-trip exactly (same order, same bytes), which is
     what optimizers rely on to snapshot and restore parameters bitwise.
+    `load_flat` swaps in a fresh buffer instead of writing into the old one,
+    so arrays handed out earlier keep their values. Every stored value is
+    finite: construction and `load_flat` share one check.
     """
 
-    def __init__(self, named: Sequence[tuple[str, Tensor]]):
+    def __init__(self, named: Sequence[tuple[str, npt.ArrayLike]]):
         if not named:
-            raise UsageError("ParameterVector needs at least one tensor")
+            raise UsageError("ParameterVector needs at least one parameter")
         self._names: list[str] = []
-        self._tensors: dict[str, Tensor] = {}
+        self._shapes: dict[str, tuple[int, ...]] = {}
         self._slices: dict[str, slice] = {}
+        parts = []
         off = 0
-        for name, t in named:
-            if name in self._tensors:
+        for name, values in named:
+            if name in self._slices:
                 raise UsageError(f"duplicate parameter name {name!r}")
-            if not isinstance(t, Tensor):
-                t = Tensor(t)
+            arr = np.asarray(values, dtype=np.float64)
             self._names.append(name)
-            self._tensors[name] = t
-            self._slices[name] = slice(off, off + t.size)
-            off += t.size
+            self._shapes[name] = arr.shape
+            self._slices[name] = slice(off, off + arr.size)
+            parts.append(arr.ravel())
+            off += arr.size
         self.size = off
+        self.load_flat(np.concatenate(parts))
 
     @property
     def names(self) -> list[str]:
         return list(self._names)
 
-    def tensor(self, name: str) -> Tensor:
-        return self._tensors[name]
-
     def view(self, name: str) -> Array:
-        """Read-only array view of one named tensor."""
-        return self._tensors[name].data
+        """Read-only array view of one named parameter."""
+        return self._views[name]
 
     def slice_of(self, name: str) -> slice:
         return self._slices[name]
@@ -68,24 +72,20 @@ class ParameterVector:
         return mask
 
     def flatten(self) -> Array:
-        out = np.empty(self.size, dtype=np.float64)
-        for name in self._names:
-            out[self._slices[name]] = self._tensors[name].data.ravel()
-        return out
+        """Writable copy of the flat buffer."""
+        return self._flat.copy()
 
-    def load_flat(self, vec: Array) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.size,):
-            raise DimensionError(f"load_flat expects shape ({self.size},), got {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise NumericError("load_flat rejects non-finite parameters")
-        for name in self._names:
-            shape = self._tensors[name].shape
-            arr = vec[self._slices[name]].reshape(shape).copy()
-            arr.setflags(write=False)
-            t = Tensor.__new__(Tensor)
-            t.data = arr
-            self._tensors[name] = t
+    def load_flat(self, vec: npt.ArrayLike) -> None:
+        """Replace every parameter with a copy of the finite vector vec."""
+        flat = np.array(vec, dtype=np.float64, order="C")
+        if flat.shape != (self.size,):
+            raise DimensionError(f"load_flat expects shape ({self.size},), got {flat.shape}")
+        if not np.isfinite(flat).all():
+            raise NumericError("parameters must be finite")
+        flat.setflags(write=False)
+        self._flat = flat
+        self._views = {name: flat[self._slices[name]].reshape(self._shapes[name])
+                       for name in self._names}
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .harness import (
     compare,
     load_checkpoint,
     preset,
+    read_json,
     resolve_config,
     run,
 )
@@ -89,21 +90,11 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_raw(path_str: str) -> dict:
-    path = Path(path_str)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path} is not valid JSON: {err}") from None
-
-
 def _config_from_args(args, default_preset: str) -> ExperimentConfig:
     if args.config and args.preset:
         raise ConfigError("pass either --config or --preset, not both")
     if args.config:
-        raw = _load_raw(args.config)
+        raw = read_json(args.config)
     else:
         raw = preset(args.preset or default_preset)
     if getattr(args, "seed", None) is not None:
@@ -248,13 +239,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise ConfigError(f"spec file not found: {spec_path}")
-    try:
-        raw = json.loads(spec_path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{spec_path} is not valid JSON: {err}") from None
+    raw = read_json(args.spec, "spec")
     allowed = {"classes", "dims", "snr", "n_train", "n_val", "n_test", "seed"}
     unknown = set(raw) - allowed
     if unknown:

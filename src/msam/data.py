@@ -51,8 +51,8 @@ class SyntheticSpec:
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
         if len(self.snr) != len(self.dims):
             raise ConfigError(f"snr has {len(self.snr)} entries for {len(self.dims)} modalities")
-        if any(s < 0 for s in self.snr):
-            raise ConfigError(f"snr values must be >= 0, got {self.snr}")
+        if not all(0.0 <= s < np.inf for s in self.snr):
+            raise ConfigError(f"snr values must be finite and >= 0, got {self.snr}")
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("all split sizes must be >= 1")
 
@@ -152,29 +152,42 @@ def save_dataset(path: str | Path, spec: SyntheticSpec,
 
 
 def load_dataset(path: str | Path) -> tuple[tuple[int, tuple[int, ...]], tuple[Dataset, Dataset, Dataset]]:
-    """Read a file written by `save_dataset`; returns ((classes, dims), splits)."""
+    """Read a file written by `save_dataset`; returns ((classes, dims), splits).
+
+    A file whose size disagrees with its header, or whose labels fall outside
+    [0, classes), is a UsageError naming the path.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise UsageError(f"{path} is not a dataset file (bad magic)")
     off = len(MAGIC)
-    classes, m = struct.unpack_from("<II", raw, off)
-    off += 8
-    dims = struct.unpack_from(f"<{m}I", raw, off)
-    off += 4 * m
-    counts = struct.unpack_from("<QQQ", raw, off)
-    off += 24
+
+    def header(fmt: str) -> tuple[int, ...]:
+        nonlocal off
+        end = off + struct.calcsize(fmt)
+        if end > len(raw):
+            raise UsageError(f"{path} is truncated: {len(raw)} bytes, header needs {end}")
+        values = struct.unpack_from(fmt, raw, off)
+        off = end
+        return values
+
+    classes, m = header("<II")
+    dims = header(f"<{m}I")
+    counts = header("<QQQ")
+    want = off + sum(counts) * (8 * sum(dims) + 4)
+    if want != len(raw):
+        raise UsageError(f"{path} has {len(raw)} bytes, its header describes {want}")
     splits = []
     for name, n in zip(("train", "val", "test"), counts):
         xs = []
         for d in dims:
-            k = n * d * 8
             xs.append(np.frombuffer(raw, dtype="<f8", count=n * d, offset=off)
                       .reshape(n, d).astype(np.float64))
-            off += k
+            off += n * d * 8
         labels = np.frombuffer(raw, dtype="<i4", count=n, offset=off).astype(np.int64)
         off += n * 4
+        if n and not 0 <= labels.min() <= labels.max() < classes:
+            raise UsageError(f"{path}: {name} labels fall outside [0, {classes})")
         splits.append(Dataset(modalities=xs, labels=labels, split=name))
-    if off != len(raw):
-        raise UsageError(f"{path} has {len(raw) - off} trailing bytes")
     return (classes, tuple(int(d) for d in dims)), tuple(splits)

@@ -29,14 +29,14 @@ import numpy as np
 
 from .data import Dataset, SyntheticSpec, batches, generate
 from .errors import ConfigError, MsamError, NumericError
-from .metrics import MetricRecord, convergence_report, ConvergenceReport, mono_modal_accuracy
+from .metrics import (MetricRecord, convergence_report, ConvergenceReport, mono_modal_accuracy,
+                      overfitting_gap)
 from .model import EncoderSpec, FusionSpec, MultimodalModel, evaluate
-from .optim import OptimConfig, OptimState, Schedule, StepReport, train_step
+from .optim import KINDS, OptimConfig, OptimState, Schedule, StepReport, train_step
+from .shapley import MAX_PLAYERS
 from .tensor import derive_seed
 
 Array = np.ndarray
-
-_OPTIM_KINDS = ("sgd", "sam", "msam", "msam_branch")
 
 
 @dataclass(frozen=True)
@@ -266,11 +266,16 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     )
 
     comparison = top["comparison"]
-    if not isinstance(comparison, list) or any(k not in _OPTIM_KINDS for k in comparison):
-        raise ConfigError(f"comparison must list optimizer kinds from {_OPTIM_KINDS}")
+    if not isinstance(comparison, list) or any(k not in KINDS for k in comparison):
+        raise ConfigError(f"comparison must list optimizer kinds from {KINDS}")
+    if len(set(comparison)) != len(comparison):
+        raise ConfigError(f"comparison lists a kind twice: {comparison}")
     for kind in set(comparison) | {optimizer.kind}:
         if kind == "msam_branch" and fusion.mode != "late":
             raise ConfigError("msam_branch requires late fusion")
+        if kind in ("msam", "msam_branch") and data.modalities > MAX_PLAYERS:
+            raise ConfigError(f"{kind} attributes at most {MAX_PLAYERS} modalities, "
+                              f"data has {data.modalities}")
 
     return ExperimentConfig(
         seed=seed,
@@ -288,15 +293,19 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def read_json(path: str | Path, what: str = "config") -> Any:
+    """Parse a JSON file; a missing file or invalid JSON is a ConfigError naming the path."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-    return resolve_config(raw)
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return resolve_config(read_json(path))
 
 
 @dataclass
@@ -364,10 +373,7 @@ def _epoch_record(
             mono_modal_accuracy(model, ds.modalities, ds.labels, m)
             for m in range(model.n_modalities)
         )
-    if acc["test"] > 0.0:
-        tau = abs(acc["train"] - acc["test"]) / acc["test"]
-    else:
-        tau = None
+    tau = overfitting_gap(acc["train"], acc["test"])
     nus = [r.nu for r in epoch_reports if r.nu is not None]
     doms = [r.dominant for r in epoch_reports if r.dominant is not None]
     mean_nu = tuple(np.mean(np.stack(nus), axis=0)) if nus else None

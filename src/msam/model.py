@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import ParameterVector
 from .errors import ConfigError, DimensionError, NumericError, UsageError
-from .tensor import Rng, Tensor, derive_seed, randn
+from .tensor import Rng, derive_seed
 
 Array = np.ndarray
 
@@ -143,9 +143,9 @@ def mask_inputs(xs: Sequence[Array], keep: Iterable[int], n_modalities: int) -> 
 class MultimodalModel:
     """Encoders + fusion head with named parameters and pass counters.
 
-    Weights initialize to randn / sqrt(fan_in) from a seed-derived stream,
-    biases to zero (omitted entirely when `bias=False`). `counters` counts
-    forward/backward passes ("taped") and plain masked forwards so the
+    Weights initialize to standard normals / sqrt(fan_in) from a seed-derived
+    stream, biases to zero (omitted entirely when `bias=False`). `counters`
+    counts forward/backward passes ("taped") and plain masked forwards so the
     training harness can assert the per-step pass budget.
     """
 
@@ -169,12 +169,12 @@ class MultimodalModel:
         self.seed = seed
         self.counters = {"taped": 0, "masked_forward": 0}
         rng = Rng(derive_seed(seed, 1))
-        items: list[tuple[str, Tensor]] = []
+        items: list[tuple[str, Array]] = []
 
         def linear(name: str, fan_in: int, fan_out: int):
-            items.append((f"{name}.w", randn(rng, (fan_in, fan_out)).scale(fan_in**-0.5)))
+            items.append((f"{name}.w", rng.normal((fan_in, fan_out)) * fan_in**-0.5))
             if bias:
-                items.append((f"{name}.b", Tensor(np.zeros(fan_out))))
+                items.append((f"{name}.b", np.zeros(fan_out)))
 
         for m, es in enumerate(self.encoders):
             prev = es.in_dim

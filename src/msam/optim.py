@@ -15,7 +15,7 @@ Step functions mutate parameters in place and return a `StepReport`; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,13 +23,13 @@ import numpy as np
 from .autodiff import ParameterVector
 from .errors import ConfigError, UsageError
 from .model import MultimodalModel, loss_and_accuracy
-from .shapley import attribute_batch
+from .shapley import TARGETS, VARIANTS, attribute_batch
 
 Array = np.ndarray
 
 GRAD_NORM_FLOOR = 1e-12
 
-_KINDS = ("sgd", "sam", "msam", "msam_branch")
+KINDS = ("sgd", "sam", "msam", "msam_branch")
 _SCHEDULES = ("constant", "inverse_sqrt", "step_decay")
 
 
@@ -83,18 +83,24 @@ class OptimConfig:
     shapley_variant: str = "standard"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"optimizer kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.lr <= 0.0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if self.kind not in KINDS:
+            raise ConfigError(f"optimizer kind must be one of {KINDS}, got {self.kind!r}")
+        # written so that NaN fails every range check
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.rho < 0.0:
-            raise ConfigError(f"rho must be >= 0, got {self.rho}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.rho < np.inf:
+            raise ConfigError(f"rho must be finite and >= 0, got {self.rho}")
         if self.shapley_every < 1:
             raise ConfigError(f"shapley_every must be >= 1, got {self.shapley_every}")
+        if self.shapley_target not in TARGETS:
+            raise ConfigError(f"shapley_target must be one of {TARGETS}, got {self.shapley_target!r}")
+        if self.shapley_variant not in VARIANTS:
+            raise ConfigError(
+                f"shapley_variant must be one of {VARIANTS}, got {self.shapley_variant!r}")
 
 
 class OptimState:

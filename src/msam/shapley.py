@@ -28,8 +28,8 @@ from .model import MultimodalModel, loss_and_accuracy
 Array = np.ndarray
 
 MAX_PLAYERS = 8
-_VARIANTS = ("standard", "paper")
-_TARGETS = ("loss", "accuracy")
+VARIANTS = ("standard", "paper")
+TARGETS = ("loss", "accuracy")
 
 
 @dataclass
@@ -63,8 +63,8 @@ def shapley_exact(
     `values` may pre-seed coalition evaluations (bitmask -> value); anything
     missing is computed via `value_fn(frozenset(members))`.
     """
-    if variant not in _VARIANTS:
-        raise UsageError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    if variant not in VARIANTS:
+        raise UsageError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if not 1 <= n_players <= MAX_PLAYERS:
         raise UsageError(f"n_players must be in [1, {MAX_PLAYERS}], got {n_players}")
     table = dict(values) if values else {}
@@ -133,8 +133,8 @@ def attribute_batch(
     already knows the full-coalition loss, seeds the table and saves one
     forward pass.
     """
-    if target not in _TARGETS:
-        raise UsageError(f"target must be one of {_TARGETS}, got {target!r}")
+    if target not in TARGETS:
+        raise UsageError(f"target must be one of {TARGETS}, got {target!r}")
     labels = np.asarray(labels)
     n = model.n_modalities
 

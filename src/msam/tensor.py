@@ -1,9 +1,4 @@
-"""Dense float64 tensors and the deterministic PRNG used everywhere else.
-
-The `Tensor` wrapper enforces the library-wide numeric contract for stored
-parameters: C-contiguous float64 storage, read-only buffers, and a finiteness
-check on construction and scaling, so violations surface as library errors
-instead of silent NaNs.
+"""The deterministic PRNG used everywhere in the library.
 
 Randomness comes from a counter-based SplitMix64 generator with a Box-Muller
 normal transform. The exact output stream is part of the reproducibility
@@ -24,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, UsageError
+from .errors import UsageError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -108,61 +103,3 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of range(n) (argsort of raw keys)."""
         return np.argsort(self.raw64(n), kind="stable")
-
-
-def _wrap(arr: np.ndarray, op: str) -> "Tensor":
-    """Adopt a freshly computed array as a Tensor, checking finiteness."""
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{op} produced non-finite values")
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.setflags(write=False)
-    t = Tensor.__new__(Tensor)
-    t.data = arr
-    return t
-
-
-class Tensor:
-    """Immutable dense float64 array.
-
-    Values are validated finite on construction and after `scale`; buffers
-    are read-only, so a Tensor can be shared freely once returned.
-    """
-
-    __slots__ = ("data",)
-
-    data: np.ndarray
-
-    def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("Tensor values must be finite")
-        arr.setflags(write=False)
-        self.data = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise DimensionError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-    def scale(self, c: float) -> "Tensor":
-        """Multiply every element by the scalar c."""
-        if not np.isfinite(c):
-            raise NumericError("scale factor must be finite")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _wrap(self.data * float(c), "scale")
-
-
-def randn(rng: Rng, shape: tuple[int, ...]) -> Tensor:
-    """Tensor of iid standard normals drawn from rng."""
-    return _wrap(np.asarray(rng.normal(tuple(shape))), "randn")

@@ -13,18 +13,15 @@ import math
 import time
 
 import numpy as np
-import pytest
-from numpy.testing import assert_allclose, assert_array_equal
 
 from msam import harness
 from msam.autodiff import ParameterVector, grad_check
 from msam.cli import main as cli_main
-from msam.data import SyntheticSpec, generate
 from msam.metrics import convergence_report, relative_gain, sharpness_proxy
 from msam.model import EncoderSpec, FusionSpec, MultimodalModel, evaluate
 from msam.optim import OptimConfig, OptimState, sam_step
 from msam.shapley import shapley_exact
-from msam.tensor import Rng, Tensor, derive_seed
+from msam.tensor import Rng, derive_seed
 
 
 def report(num, ok, detail):
@@ -167,7 +164,7 @@ def test_criterion_05_perturbation_geometry(preset_runs):
 
 
 def test_criterion_06_sam_hand_arithmetic():
-    params = ParameterVector([("theta", Tensor(3.0))])
+    params = ParameterVector([("theta", np.array(3.0))])
 
     def vag():
         th = params.flatten()[0]

@@ -11,7 +11,6 @@ import pytest
 
 from msam.cli import main
 from msam.data import load_dataset
-from msam.harness import resolve_config, run
 
 
 def write_config(tmp_path, name="cfg.json", **kw):

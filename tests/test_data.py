@@ -104,6 +104,10 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         small_spec(snr=(1.0, -0.5))
     with pytest.raises(ConfigError):
+        small_spec(snr=(1.0, float("nan")))
+    with pytest.raises(ConfigError):
+        small_spec(snr=(float("inf"), 1.0))
+    with pytest.raises(ConfigError):
         small_spec(n_val=0)
 
 
@@ -185,6 +189,27 @@ def test_load_rejects_trailing_bytes(tmp_path):
     save_dataset(path, spec, generate(spec))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(UsageError):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("cut", [10, 30, -3])
+def test_load_rejects_truncated_file(tmp_path, cut):
+    spec = small_spec()
+    path = tmp_path / "data.bin"
+    save_dataset(path, spec, generate(spec))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(UsageError, match="data.bin"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_load_rejects_out_of_range_labels(tmp_path, bad):
+    spec = small_spec()
+    splits = generate(spec)
+    splits[1].labels[0] = bad
+    path = tmp_path / "data.bin"
+    save_dataset(path, spec, splits)
+    with pytest.raises(UsageError, match="val labels"):
         load_dataset(path)
 
 

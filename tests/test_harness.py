@@ -75,6 +75,14 @@ def test_resolve_scalar_validation():
         resolve_config({"comparison": ["sgd", "adam"]})
     with pytest.raises(ConfigError):
         resolve_config({"comparison": "sgd"})
+    with pytest.raises(ConfigError):
+        resolve_config({"comparison": ["sgd", "sam", "sgd"]})
+    nine = {"dims": [2] * 9, "snr": [1.0] * 9}
+    resolve_config({"data": nine, "optimizer": {"kind": "sam"}})
+    for raw in ({"optimizer": {"kind": "msam"}}, {"optimizer": {"kind": "msam_branch"}},
+                {"optimizer": {"kind": "sgd"}, "comparison": ["sgd", "msam"]}):
+        with pytest.raises(ConfigError, match="at most 8"):
+            resolve_config({"data": nine, **raw})
 
 
 def test_resolve_per_modality_hidden():
@@ -136,6 +144,9 @@ def test_load_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
+        load_config(bad)
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="bad.json is not valid JSON"):
         load_config(bad)
 
 

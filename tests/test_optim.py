@@ -19,12 +19,12 @@ from msam.errors import ConfigError, UsageError
 from msam.model import EncoderSpec, FusionSpec, MultimodalModel, evaluate, loss_and_accuracy
 from msam.optim import (OptimConfig, OptimState, Schedule, msam_branch_step,
                         msam_step, sam_step, sgd_step, train_step)
-from msam.tensor import Rng, Tensor
+from msam.tensor import Rng
 
 
 def quadratic_setup(theta0=3.0):
     """L(theta) = theta^2 with a live closure over the parameter vector."""
-    params = ParameterVector([("theta", Tensor(theta0))])
+    params = ParameterVector([("theta", np.array(theta0))])
 
     def value_and_grad():
         th = params.flatten()[0]
@@ -96,6 +96,11 @@ def test_optim_config_validation():
         OptimConfig(rho=-0.05)
     with pytest.raises(ConfigError):
         OptimConfig(shapley_every=0)
+    for bad in ({"lr": float("nan")}, {"lr": float("inf")}, {"rho": float("nan")},
+                {"weight_decay": float("inf")}, {"shapley_target": "margin"},
+                {"shapley_variant": "banzhaf"}):
+        with pytest.raises(ConfigError):
+            OptimConfig(**bad)
 
 
 # ------------------------------------------------------------------- sgd / sam
@@ -113,7 +118,7 @@ def test_sgd_quadratic_hand_step():
 
 
 def test_sgd_weight_decay_only():
-    params = ParameterVector([("theta", Tensor(2.0))])
+    params = ParameterVector([("theta", np.array(2.0))])
     state = OptimState(1)
     cfg = OptimConfig(kind="sgd", lr=0.5, weight_decay=1.0)
     sgd_step(lambda: (0.0, np.zeros(1)), params, state, cfg)
@@ -121,7 +126,7 @@ def test_sgd_weight_decay_only():
 
 
 def test_sgd_momentum_accumulates():
-    params = ParameterVector([("theta", Tensor(0.0))])
+    params = ParameterVector([("theta", np.array(0.0))])
     state = OptimState(1)
     cfg = OptimConfig(kind="sgd", lr=1.0, momentum=0.5)
     vag = lambda: (0.0, np.ones(1))
@@ -176,7 +181,7 @@ def test_sam_evaluates_at_perturbed_point_and_restores():
 
 
 def test_sam_zero_grad_skips_second_pass():
-    params = ParameterVector([("theta", Tensor(2.0))])
+    params = ParameterVector([("theta", np.array(2.0))])
     calls = []
 
     def vag():
