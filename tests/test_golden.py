@@ -100,3 +100,26 @@ def gradient_hash(case):
 @pytest.mark.parametrize("case", sorted(GRAD_CASES))
 def test_loss_and_gradient_are_byte_identical(case):
     assert gradient_hash(case) == GRAD_GOLDEN[case]
+
+
+CONFIG_CASES = {
+    **{f"preset-{name}": harness.preset(name) for name in sorted(harness._PRESETS)},
+    "empty": {},
+    "int-lr-epoch-period": {"optimizer": {"lr": 1, "schedule": {
+        "kind": "step_decay", "period": 2, "period_unit": "epochs"}}},
+}
+
+CONFIG_GOLDEN = {
+    "preset-default": "36c9a81b63fd62b21c555115885da18d17ce39fc0d528774f7c18259912afb74",
+    "preset-dominance": "23a8efe4b213a3c1922811c40e6f81ffdcba3edd42db45e0c9424e13e6281908",
+    "preset-overfit": "28d869c09860b57c0f7cd00b67cfb318b8ba4f641e5cac4ac663ab9beb943c4b",
+    "preset-smooth": "7c1643be7e55b279f11b93d350437ebd978a3c161ab6d890db3b542f6446343d",
+    "empty": "36c9a81b63fd62b21c555115885da18d17ce39fc0d528774f7c18259912afb74",
+    "int-lr-epoch-period": "ecd41fe34699ddfbbeeb6dbb78958eeda9b69bd5236f27a6f96cc99585ed78e5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_hash_is_pinned(case):
+    cfg = harness.resolve_config(CONFIG_CASES[case])
+    assert harness.config_hash(cfg) == CONFIG_GOLDEN[case]
