@@ -63,14 +63,6 @@ class ParameterVector:
     def slice_of(self, name: str) -> slice:
         return self._slices[name]
 
-    def group_mask(self, prefix: str) -> Array:
-        """Boolean mask over the flat vector for names starting with prefix."""
-        mask = np.zeros(self.size, dtype=bool)
-        for name in self._names:
-            if name.startswith(prefix):
-                mask[self._slices[name]] = True
-        return mask
-
     def flatten(self) -> Array:
         """Writable copy of the flat buffer."""
         return self._flat.copy()

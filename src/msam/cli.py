@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import grad_check
-from .data import SyntheticSpec, batches, generate, save_dataset
+from .data import batches, generate, save_dataset
 from .errors import ConfigError, DimensionError, MsamError, NumericError, UsageError
 from .harness import (
     ExperimentConfig,
@@ -24,6 +24,7 @@ from .harness import (
     preset,
     read_json,
     resolve_config,
+    resolve_data_spec,
     run,
 )
 from .metrics import convergence_report, landscape_grid
@@ -83,7 +84,7 @@ def _build_parser() -> _Parser:
     c.set_defaults(func=_cmd_convergence)
 
     e = sub.add_parser("export-data", help="generate a dataset and write the binary file")
-    e.add_argument("--spec", required=True, help="JSON with classes/dims/snr/counts/seed")
+    e.add_argument("--spec", required=True, help="JSON: the config's data section plus seed")
     e.add_argument("--out", required=True, help="output .bin path")
     e.set_defaults(func=_cmd_export)
 
@@ -97,10 +98,11 @@ def _config_from_args(args, default_preset: str) -> ExperimentConfig:
         raw = read_json(args.config)
     else:
         raw = preset(args.preset or default_preset)
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "out_dir", None):
-        raw["out_dir"] = args.out_dir
+    if isinstance(raw, dict):  # anything else is for resolve_config to reject
+        if getattr(args, "seed", None) is not None:
+            raw["seed"] = args.seed
+        if getattr(args, "out_dir", None):
+            raw["out_dir"] = args.out_dir
     return resolve_config(raw)
 
 
@@ -239,23 +241,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    raw = read_json(args.spec, "spec")
-    allowed = {"classes", "dims", "snr", "n_train", "n_val", "n_test", "seed"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in data spec: {sorted(unknown)}")
-    missing = {"classes", "dims", "snr", "n_train", "n_val", "n_test"} - set(raw)
-    if missing:
-        raise ConfigError(f"data spec missing keys: {sorted(missing)}")
-    spec = SyntheticSpec(
-        classes=int(raw["classes"]),
-        dims=tuple(int(x) for x in raw["dims"]),
-        snr=tuple(float(x) for x in raw["snr"]),
-        n_train=int(raw["n_train"]),
-        n_val=int(raw["n_val"]),
-        n_test=int(raw["n_test"]),
-        seed=int(raw.get("seed", 0)),
-    )
+    spec = resolve_data_spec(read_json(args.spec, "spec"))
     splits = generate(spec)
     save_dataset(args.out, spec, splits)
     sizes = ", ".join(f"{ds.split}={ds.n}" for ds in splits)

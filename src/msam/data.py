@@ -154,8 +154,8 @@ def save_dataset(path: str | Path, spec: SyntheticSpec,
 def load_dataset(path: str | Path) -> tuple[tuple[int, tuple[int, ...]], tuple[Dataset, Dataset, Dataset]]:
     """Read a file written by `save_dataset`; returns ((classes, dims), splits).
 
-    A file whose size disagrees with its header, or whose labels fall outside
-    [0, classes), is a UsageError naming the path.
+    A file that declares no modalities, whose size disagrees with its header,
+    or whose labels fall outside [0, classes), is a UsageError naming the path.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -173,6 +173,8 @@ def load_dataset(path: str | Path) -> tuple[tuple[int, tuple[int, ...]], tuple[D
         return values
 
     classes, m = header("<II")
+    if m < 1:
+        raise UsageError(f"{path} declares no modalities")
     dims = header(f"<{m}I")
     counts = header("<QQQ")
     want = off + sum(counts) * (8 * sum(dims) + 4)

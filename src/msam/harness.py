@@ -1,11 +1,17 @@
 """Config-driven experiment harness.
 
-Configs are JSON trees with a fixed schema; unknown keys anywhere in the tree
-are errors so hyperparameter typos cannot pass silently. `resolve_config`
-fills defaults and returns a fully-typed `ExperimentConfig`; its canonical
-dict form is itself a valid config, is what gets hashed (minus the output
-directory), and is what `run` writes back out to each run directory, so a run
-directory doubles as a reloadable checkpoint.
+Configs are JSON trees with a fixed schema, `_SCHEMA`: one row per field
+with its dotted path, type, default and check. One walker reads it for the
+config and for the `export-data` spec (the `data` section plus `seed`).
+Unknown keys anywhere in the tree are errors so hyperparameter typos cannot
+pass silently, and types are exact: a bool is not an int, an int is accepted
+for a float and stored as one, and no string becomes a number. Every bad
+value is a ConfigError naming its dotted path, e.g. `model.hidden[0]`.
+`resolve_config` fills defaults and returns a fully-typed `ExperimentConfig`;
+its canonical dict form, generated from the same rows, is itself a valid
+config, is what gets hashed (minus the output directory), and is what `run`
+writes back out to each run directory, so a run directory doubles as a
+reloadable checkpoint.
 
 A run is deterministic end to end per seed: data generation, model init,
 per-epoch shuffles, and every optimizer step use independent streams derived
@@ -22,6 +28,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -61,48 +69,9 @@ class ExperimentConfig:
         return math.ceil(self.data.n_train / self.batch_size)
 
     def canonical(self) -> dict:
-        """Fully-explicit config dict; valid input to `resolve_config`."""
-        hidden = [list(e.hidden) for e in self.encoders]
-        return {
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "eval_every": self.eval_every,
-            "early_stop_patience": self.early_stop_patience,
-            "data": {
-                "classes": self.data.classes,
-                "dims": list(self.data.dims),
-                "snr": list(self.data.snr),
-                "n_train": self.data.n_train,
-                "n_val": self.data.n_val,
-                "n_test": self.data.n_test,
-            },
-            "model": {
-                "hidden": hidden,
-                "activation": self.encoders[0].activation,
-                "fusion": self.fusion.mode,
-                "width": self.fusion.width,
-                "pieces": self.fusion.pieces,
-                "bias": self.bias,
-            },
-            "optimizer": {
-                "kind": self.optimizer.kind,
-                "lr": self.optimizer.lr,
-                "momentum": self.optimizer.momentum,
-                "weight_decay": self.optimizer.weight_decay,
-                "rho": self.optimizer.rho,
-                "schedule": {
-                    "kind": self.optimizer.schedule.kind,
-                    "factor": self.optimizer.schedule.factor,
-                    "period": self.optimizer.schedule.period,
-                    "period_unit": "steps",
-                },
-                "shapley_every": self.optimizer.shapley_every,
-                "shapley_target": self.optimizer.shapley_target,
-                "shapley_variant": self.optimizer.shapley_variant,
-            },
-            "comparison": list(self.comparison),
-        }
+        """Fully-explicit config dict, all schema rows but out_dir; valid `resolve_config` input."""
+        values = {path: read(self) for path, read in _CANONICAL}
+        return _nest({p: list(v) if isinstance(v, tuple) else v for p, v in values.items()})
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -111,186 +80,221 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _section(raw: dict, name: str, defaults: dict[str, Any]) -> dict[str, Any]:
-    got = raw.get(name, {})
-    if not isinstance(got, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(got) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(got)
-    return merged
+# A schema type takes (value, dotted path) and returns the checked value or
+# raises a ConfigError naming the path. It compares exact types, so a bool is
+# not an int and no string becomes a number. A check takes the checked value
+# and returns what is wrong with it, or None.
 
 
-_TOP_DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "epochs": 5,
-    "batch_size": 32,
-    "eval_every": 1,
-    "early_stop_patience": 0,
-    "out_dir": None,
-    "data": {},
-    "model": {},
-    "optimizer": {},
-    "comparison": [],
+def _scalar(what: str, *types: type):
+    def of_type(value, path):
+        if type(value) not in types:
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+        return value
+    return of_type
+
+
+_INT = _scalar("an integer", int)
+_STR = _scalar("a string", str)
+_NUMBER = _scalar("a number", int, float)
+
+
+def _float(value, path) -> float:
+    """A JSON int or float, stored as float so that `1` hashes like `1.0`."""
+    try:
+        return float(_NUMBER(value, path))
+    except OverflowError:
+        raise ConfigError(f"{path} is too large for a float") from None
+
+
+def _list(item):
+    def of_type(value, path):
+        if type(value) is not list:
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    return of_type
+
+
+_WIDTHS = _list(_INT)
+_WIDTHS_PER_MODALITY = _list(_WIDTHS)
+
+
+def _hidden(value, path):
+    """One list of widths shared by every encoder, or one list per modality."""
+    if type(value) is list and value and all(type(h) is list for h in value):
+        return _WIDTHS_PER_MODALITY(value, path)
+    return _WIDTHS(value, path)
+
+
+def _at_least(lo: int):
+    return lambda x: None if x >= lo else f"must be >= {lo}"
+
+
+def _distinct_kinds(kinds: list[str]) -> str | None:
+    ok = set(kinds) <= set(KINDS) and len(set(kinds)) == len(kinds)
+    return None if ok else f"must list distinct optimizer kinds from {KINDS}"
+
+
+_REQUIRED = object()  # the default of a key that must be given
+
+# One row per config field: (dotted path, type, default, check). The sections
+# are the paths' prefixes; the dataclasses check the rest (value ranges and
+# names), and `resolve_config` the rules that span several fields.
+_SCHEMA = (
+    ("seed", _INT, 0, None),
+    ("epochs", _INT, 5, _at_least(1)),
+    ("batch_size", _INT, 32, _at_least(1)),
+    ("eval_every", _INT, 1, _at_least(1)),
+    ("early_stop_patience", _INT, 0, _at_least(0)),
+    ("out_dir", _scalar("a string or null", str, type(None)), None, None),
+    ("comparison", _list(_STR), [], _distinct_kinds),
+    ("data.classes", _INT, 3, None),
+    ("data.dims", _list(_INT), [6, 6], None),
+    ("data.snr", _list(_float), [2.0, 1.0], None),
+    ("data.n_train", _INT, 256, None),
+    ("data.n_val", _INT, 64, None),
+    ("data.n_test", _INT, 256, None),
+    ("model.hidden", _hidden, [16], None),
+    ("model.activation", _STR, "relu", None),
+    ("model.fusion", _STR, "late", None),
+    ("model.width", _INT, 8, None),
+    ("model.pieces", _INT, 2, None),
+    ("model.bias", _scalar("true or false", bool), True, None),
+    ("optimizer.kind", _STR, "msam", None),
+    ("optimizer.lr", _float, 0.05, None),
+    ("optimizer.momentum", _float, 0.9, None),
+    ("optimizer.weight_decay", _float, 1e-4, None),
+    ("optimizer.rho", _float, 0.05, None),
+    ("optimizer.schedule.kind", _STR, "constant", None),
+    ("optimizer.schedule.factor", _float, 0.1, None),
+    ("optimizer.schedule.period", _INT, 70, _at_least(1)),
+    ("optimizer.schedule.period_unit", _STR, "steps",
+     lambda unit: None if unit in ("steps", "epochs") else "must be 'steps' or 'epochs'"),
+    ("optimizer.shapley_every", _INT, 1, None),
+    ("optimizer.shapley_target", _STR, "loss", None),
+    ("optimizer.shapley_variant", _STR, "standard", None),
+)
+
+# The `export-data` spec: the data section at the top level, every key
+# required, plus the seed.
+_DATA_SPEC = tuple((path.removeprefix("data."), kind, _REQUIRED, check)
+                   for path, kind, _default, check in _SCHEMA if path.startswith("data.")
+                   ) + tuple(row for row in _SCHEMA if row[0] == "seed")
+
+# How `canonical()` reads the paths that are not attribute paths of an
+# ExperimentConfig; the period is stored in steps.
+_READERS = {
+    "model.hidden": lambda c: [list(e.hidden) for e in c.encoders],
+    "model.activation": lambda c: c.encoders[0].activation,
+    "model.fusion": lambda c: c.fusion.mode,
+    "model.width": lambda c: c.fusion.width,
+    "model.pieces": lambda c: c.fusion.pieces,
+    "model.bias": lambda c: c.bias,
+    "optimizer.schedule.period_unit": lambda c: "steps",
 }
-
-_DATA_DEFAULTS: dict[str, Any] = {
-    "classes": 3,
-    "dims": [6, 6],
-    "snr": [2.0, 1.0],
-    "n_train": 256,
-    "n_val": 64,
-    "n_test": 256,
-}
-
-_MODEL_DEFAULTS: dict[str, Any] = {
-    "hidden": [16],
-    "activation": "relu",
-    "fusion": "late",
-    "width": 8,
-    "pieces": 2,
-    "bias": True,
-}
-
-_OPTIM_DEFAULTS: dict[str, Any] = {
-    "kind": "msam",
-    "lr": 0.05,
-    "momentum": 0.9,
-    "weight_decay": 1e-4,
-    "rho": 0.05,
-    "schedule": {},
-    "shapley_every": 1,
-    "shapley_target": "loss",
-    "shapley_variant": "standard",
-}
-
-_SCHEDULE_DEFAULTS: dict[str, Any] = {
-    "kind": "constant",
-    "factor": 0.1,
-    "period": 70,
-    "period_unit": "steps",
-}
+_CANONICAL = tuple((path, _READERS.get(path) or attrgetter(path))
+                   for path, *_ in _SCHEMA if path != "out_dir")
 
 
-def resolve_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict, fill defaults, and type everything.
+def _section_keys(rows) -> dict[str, set[str]]:
+    """{section path: the keys it holds}, the root section being ''."""
+    keys: dict[str, set[str]] = {}
+    for path, *_ in rows:
+        while path:
+            path, _, key = path.rpartition(".")
+            keys.setdefault(path, set()).add(key)
+    return keys
+
+
+_SCHEMA_KEYS = _section_keys(_SCHEMA)
+_DATA_SPEC_KEYS = _section_keys(_DATA_SPEC)
+
+
+def _checked(raw: Any, rows, keys: dict[str, set[str]], root: str) -> dict[str, dict[str, Any]]:
+    """{section path: {key: checked value}} of a raw tree, defaults filled;
+    every section must be an object holding only its `keys`."""
+    sections: dict[str, dict] = {}
+
+    def section(path: str) -> dict:
+        if path not in sections:
+            parent, _, key = path.rpartition(".")
+            got = section(parent).get(key, {}) if path else raw
+            where = repr(path) if path else root
+            if type(got) is not dict:
+                raise ConfigError(f"{where} must be a JSON object, got {got!r}")
+            unknown = set(got) - keys[path]
+            if unknown:
+                raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
+            sections[path] = got
+        return sections[path]
+
+    values: dict[str, dict[str, Any]] = {}
+    missing = []
+    for path, kind, default, check in rows:
+        parent, _, key = path.rpartition(".")
+        got = section(parent).get(key, default)
+        if got is _REQUIRED:
+            missing.append(path)
+            continue
+        value = kind(got, path)
+        values.setdefault(parent, {})[key] = value
+        if check and (problem := check(value)):
+            raise ConfigError(f"{path} {problem}, got {value!r}")
+    if missing:
+        raise ConfigError(f"{root} missing keys: {missing}")
+    return values
+
+
+def _nest(flat: dict[str, Any]) -> dict:
+    """The nested tree of a {dotted path: value} dict."""
+    tree: dict = {}
+    for path, value in flat.items():
+        *sections, key = path.split(".")
+        reduce(lambda node, name: node.setdefault(name, {}), sections, tree)[key] = value
+    return tree
+
+
+def resolve_config(raw: Any) -> ExperimentConfig:
+    """Check a raw config tree against the schema, fill defaults, and type everything.
 
     Raises ConfigError on unknown keys, bad values, or inconsistent shapes.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - set(_TOP_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    top = dict(_TOP_DEFAULTS)
-    top.update(raw)
-    d = _section(raw, "data", _DATA_DEFAULTS)
-    m = _section(raw, "model", _MODEL_DEFAULTS)
-    o = _section(raw, "optimizer", _OPTIM_DEFAULTS)
-    s = _section(o, "schedule", _SCHEDULE_DEFAULTS)
+    values = _checked(raw, _SCHEMA, _SCHEMA_KEYS, "top-level config")
+    top = values[""]
+    data = SyntheticSpec(seed=top["seed"], **values["data"])
 
-    try:
-        seed = int(top["seed"])
-        epochs = int(top["epochs"])
-        batch_size = int(top["batch_size"])
-        eval_every = int(top["eval_every"])
-        patience = int(top["early_stop_patience"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad scalar in config: {e}") from None
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if eval_every < 1:
-        raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
-    if patience < 0:
-        raise ConfigError(f"early_stop_patience must be >= 0, got {patience}")
-    out_dir = top["out_dir"]
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a string or null")
-
-    data = SyntheticSpec(
-        classes=int(d["classes"]),
-        dims=tuple(int(x) for x in d["dims"]),
-        snr=tuple(float(x) for x in d["snr"]),
-        n_train=int(d["n_train"]),
-        n_val=int(d["n_val"]),
-        n_test=int(d["n_test"]),
-        seed=seed,
-    )
-
-    hidden = m["hidden"]
-    if not isinstance(hidden, list):
-        raise ConfigError("model.hidden must be a list (of widths, or one list per modality)")
-    if hidden and all(isinstance(h, list) for h in hidden):
-        per_modality = hidden
-        if len(per_modality) != data.modalities:
+    model = values["model"]
+    hidden = model["hidden"]
+    if hidden and type(hidden[0]) is list:
+        if len(hidden) != data.modalities:
             raise ConfigError(
-                f"model.hidden lists {len(per_modality)} modalities, data has {data.modalities}"
-            )
+                f"model.hidden lists {len(hidden)} modalities, data has {data.modalities}")
     else:
-        per_modality = [hidden] * data.modalities
-    encoders = tuple(
-        EncoderSpec(
-            in_dim=data.dims[i],
-            hidden=tuple(int(h) for h in per_modality[i]),
-            activation=str(m["activation"]),
-        )
-        for i in range(data.modalities)
-    )
-    fusion = FusionSpec(mode=str(m["fusion"]), width=int(m["width"]), pieces=int(m["pieces"]))
-    bias = bool(m["bias"])
+        hidden = [hidden] * data.modalities
+    encoders = tuple(EncoderSpec(d, tuple(h), model["activation"])
+                     for d, h in zip(data.dims, hidden))
+    fusion = FusionSpec(model["fusion"], model["width"], model["pieces"])
 
-    unit = s["period_unit"]
-    if unit not in ("steps", "epochs"):
-        raise ConfigError(f"schedule.period_unit must be 'steps' or 'epochs', got {unit!r}")
-    period = int(s["period"])
-    if period < 1:
-        raise ConfigError(f"schedule.period must be >= 1, got {period}")
-    if unit == "epochs":
-        period *= math.ceil(data.n_train / batch_size)
-    schedule = Schedule(kind=str(s["kind"]), factor=float(s["factor"]), period=period)
+    schedule = values["optimizer.schedule"]
+    if schedule.pop("period_unit") == "epochs":
+        schedule["period"] *= -(-data.n_train // top["batch_size"])
+    optimizer = OptimConfig(schedule=Schedule(**schedule), **values["optimizer"])
 
-    optimizer = OptimConfig(
-        kind=str(o["kind"]),
-        lr=float(o["lr"]),
-        momentum=float(o["momentum"]),
-        weight_decay=float(o["weight_decay"]),
-        rho=float(o["rho"]),
-        schedule=schedule,
-        shapley_every=int(o["shapley_every"]),
-        shapley_target=str(o["shapley_target"]),
-        shapley_variant=str(o["shapley_variant"]),
-    )
-
-    comparison = top["comparison"]
-    if not isinstance(comparison, list) or any(k not in KINDS for k in comparison):
-        raise ConfigError(f"comparison must list optimizer kinds from {KINDS}")
-    if len(set(comparison)) != len(comparison):
-        raise ConfigError(f"comparison lists a kind twice: {comparison}")
-    for kind in set(comparison) | {optimizer.kind}:
+    top["comparison"] = tuple(top["comparison"])
+    for kind in set(top["comparison"]) | {optimizer.kind}:
         if kind == "msam_branch" and fusion.mode != "late":
             raise ConfigError("msam_branch requires late fusion")
         if kind in ("msam", "msam_branch") and data.modalities > MAX_PLAYERS:
             raise ConfigError(f"{kind} attributes at most {MAX_PLAYERS} modalities, "
                               f"data has {data.modalities}")
+    return ExperimentConfig(**top, data=data, encoders=encoders, fusion=fusion,
+                            bias=model["bias"], optimizer=optimizer)
 
-    return ExperimentConfig(
-        seed=seed,
-        epochs=epochs,
-        batch_size=batch_size,
-        eval_every=eval_every,
-        early_stop_patience=patience,
-        out_dir=out_dir,
-        data=data,
-        encoders=encoders,
-        fusion=fusion,
-        bias=bias,
-        optimizer=optimizer,
-        comparison=tuple(comparison),
-    )
+
+def resolve_data_spec(raw: Any) -> SyntheticSpec:
+    """The `export-data` spec: the config's `data` section plus `seed`, every
+    data key required."""
+    return SyntheticSpec(**_checked(raw, _DATA_SPEC, _DATA_SPEC_KEYS, "data spec")[""])
 
 
 def read_json(path: str | Path, what: str = "config") -> Any:
@@ -300,7 +304,7 @@ def read_json(path: str | Path, what: str = "config") -> Any:
         raise ConfigError(f"{what} file not found: {path}")
     try:
         return json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, an int too long, deep nesting
         raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
 
 

@@ -88,11 +88,6 @@ class ForwardTrace:
     logits: Array
     keep: tuple[int, ...]
 
-    @property
-    def features(self) -> list[Array]:
-        """Each modality's encoder output."""
-        return [a[-1] for a in self.acts]
-
 
 def _relu(z: Array) -> Array:
     return np.maximum(z, 0.0)

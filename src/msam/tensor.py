@@ -59,10 +59,6 @@ class Rng:
         self.seed = seed & _MASK64
         self._count = 0
 
-    def split(self, tag: int) -> "Rng":
-        """Child stream keyed by (seed, tag), independent of draws so far."""
-        return Rng(derive_seed(self.seed, tag))
-
     def raw64(self, n: int) -> np.ndarray:
         """Next n raw uint64 outputs."""
         if n < 0:

@@ -68,6 +68,25 @@ def test_train_missing_config_names_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, value, path", [
+    ("model", {"hidden": ["x"]}, "model.hidden[0]"),
+    ("data", {"dims": None}, "data.dims"),
+    ("seed", True, "seed"),
+])
+def test_train_config_type_errors_exit_1(tmp_path, capsys, section, value, path):
+    cfg, _ = write_config(tmp_path, **{section: value})
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} must be ") and "Traceback" not in err
+
+
+def test_train_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert main(["train", "--config", str(cfg), "--seed", "3"]) == 1
+    assert capsys.readouterr().err == "error: top-level config must be a JSON object, got [1, 2]\n"
+
+
 def test_train_config_and_preset_conflict(tmp_path, capsys):
     path, _ = write_config(tmp_path)
     assert main(["train", "--config", str(path), "--preset", "default"]) == 1
@@ -216,3 +235,20 @@ def test_export_data_validation(tmp_path, capsys):
     extra.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0],
                                  "n_train": 4, "n_val": 2, "n_test": 2, "fraction": 0.5}))
     assert main(["export-data", "--spec", str(extra), "--out", str(tmp_path / "x.bin")]) == 1
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"classes": "abc"}, "classes must be an integer, got 'abc'"),
+    ({"n_train": 4.5}, "n_train must be an integer, got 4.5"),
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ([1, 2], "data spec must be a JSON object, got [1, 2]"),
+])
+def test_export_data_type_errors_exit_1(tmp_path, capsys, spec, message):
+    if isinstance(spec, dict):
+        spec = {"classes": 3, "dims": [4, 3], "snr": [2.0, 0.5],
+                "n_train": 20, "n_val": 10, "n_test": 10, **spec}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["export-data", "--spec", str(spec_path), "--out", str(tmp_path / "x.bin")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.bin").exists()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from msam.data import (Dataset, SyntheticSpec, _prototypes, batches, generate,
+from msam.data import (MAGIC, Dataset, SyntheticSpec, _prototypes, batches, generate,
                        load_dataset, save_dataset)
 from msam.errors import ConfigError, DimensionError, UsageError
 from msam.tensor import Rng, derive_seed
@@ -199,6 +199,13 @@ def test_load_rejects_truncated_file(tmp_path, cut):
     save_dataset(path, spec, generate(spec))
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(UsageError, match="data.bin"):
+        load_dataset(path)
+
+
+def test_load_rejects_zero_modalities(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(MAGIC + bytes(32))  # 0 classes, 0 modalities, 0 samples per split
+    with pytest.raises(UsageError, match="empty.bin declares no modalities"):
         load_dataset(path)
 
 

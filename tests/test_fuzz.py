@@ -1,0 +1,114 @@
+"""Property tests: malformed input is rejected with a library error, never a leak.
+
+`resolve_config` gets arbitrary JSON trees built around the real config keys,
+and `load_dataset` arbitrary bytes around a valid file. Either call may only
+succeed or raise ConfigError/UsageError, and every config that resolves keeps
+its hash through `canonical()` and a JSON round trip. The runs are
+derandomized, so the suite sees the same examples every time.
+"""
+
+import json
+import struct
+
+from hypothesis import given, settings, strategies as st
+
+from msam import harness
+from msam.data import MAGIC, SyntheticSpec, generate, load_dataset, save_dataset
+from msam.errors import ConfigError, UsageError
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+DEFAULTS = {path: default for path, _kind, default, _check in harness._SCHEMA}
+PATHS = list(DEFAULTS)
+KEYS = sorted({part for path in PATHS for part in path.split(".")})
+NAMES = ["sgd", "sam", "msam", "msam_branch", "relu", "tanh", "early", "late", "constant",
+         "inverse_sqrt", "step_decay", "steps", "epochs", "loss", "accuracy", "standard",
+         "paper"]
+
+leaves = (st.none() | st.booleans() | st.integers(-3, 40) | st.integers()
+          | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(NAMES)
+          | st.text(max_size=4))
+trees = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+def near(default):
+    """Values of a default's own JSON type, many of them valid."""
+    if isinstance(default, list):
+        item = near(default[0]) if default else st.sampled_from(["sgd", "sam", "msam"])
+        pair = st.lists(item, min_size=2, max_size=2)
+        return pair | st.lists(item, max_size=3) | st.lists(st.lists(item, max_size=2),
+                                                            min_size=2, max_size=2)
+    if default is None:
+        return st.none() | st.text(max_size=3)
+    return {bool: st.booleans(), int: st.integers(0, 9), str: st.sampled_from(NAMES),
+            float: st.floats(0.0, 1.0) | st.integers(0, 1)}[type(default)]
+
+
+@st.composite
+def configs(draw):
+    """The defaults with a few values replaced and sometimes a stray key, or any tree."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(trees)
+    flat = dict(DEFAULTS)
+    for path in draw(st.lists(st.sampled_from(PATHS), max_size=3)):
+        flat[path] = draw(trees if draw(st.integers(0, 3)) == 0 else near(DEFAULTS[path]))
+    if draw(st.integers(0, 9)) == 0:
+        flat[draw(st.sampled_from(["data", "model", "optimizer.schedule"])) + ".extra"] = 1
+    return harness._nest(flat)
+
+
+@FUZZ
+@given(configs())
+def test_resolve_config_only_succeeds_or_raises_config_error(raw):
+    try:
+        cfg = harness.resolve_config(raw)
+    except ConfigError:
+        return
+    again = harness.resolve_config(json.loads(json.dumps(cfg.canonical())))
+    assert harness.config_hash(again) == harness.config_hash(cfg)
+
+
+def dataset_bytes(tmp_path_factory):
+    spec = SyntheticSpec(classes=3, dims=(2, 1), snr=(1.0, 1.0), n_train=3, n_val=2, n_test=1)
+    path = tmp_path_factory.mktemp("valid") / "valid.bin"
+    save_dataset(path, spec, generate(spec))
+    return path.read_bytes()
+
+
+@st.composite
+def dataset_files(draw, valid):
+    """Any bytes, a small header plus noise, or a valid file cut, patched or extended."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.binary(max_size=64))
+    if kind == 1:
+        small = st.integers(0, 3)
+        m = draw(small)
+        header = struct.pack(f"<II{m}IQQQ", draw(small), m, *(draw(small) for _ in range(m + 3)))
+        return MAGIC + header + draw(st.binary(max_size=80))
+    data = bytearray(valid[:draw(st.integers(0, len(valid)))] if kind == 2 else valid)
+    for _ in range(draw(st.integers(0, 4))):
+        if data:
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data) + draw(st.binary(max_size=8))
+
+
+def test_load_dataset_only_succeeds_or_raises_usage_error(tmp_path_factory):
+    valid = dataset_bytes(tmp_path_factory)
+    path = tmp_path_factory.mktemp("fuzz") / "data.bin"
+
+    @FUZZ
+    @given(dataset_files(valid))
+    def check(raw):
+        path.write_bytes(raw)
+        try:
+            load_dataset(path)
+        except (ConfigError, UsageError):
+            pass
+
+    check()

@@ -8,6 +8,7 @@ checkpoint reload, early stopping, and the divergence abort message.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,8 +57,10 @@ def test_resolve_rejects_unknown_keys_everywhere():
         resolve_config({"model": {"depth": 3}})
     with pytest.raises(ConfigError, match="'optimizer'"):
         resolve_config({"optimizer": {"nesterov": True}})
-    with pytest.raises(ConfigError, match="'schedule'"):
+    with pytest.raises(ConfigError, match="'optimizer.schedule'"):
         resolve_config({"optimizer": {"schedule": {"warmup": 5}}})
+    with pytest.raises(ConfigError, match="top-level"):
+        resolve_config({"data.classes": 5})
 
 
 def test_resolve_scalar_validation():
@@ -83,6 +86,44 @@ def test_resolve_scalar_validation():
                 {"optimizer": {"kind": "sgd"}, "comparison": ["sgd", "msam"]}):
         with pytest.raises(ConfigError, match="at most 8"):
             resolve_config({"data": nine, **raw})
+
+
+@pytest.mark.parametrize("raw, path", [
+    ({"model": {"bias": "false"}}, "model.bias"),
+    ({"epochs": 2.7}, "epochs"),
+    ({"data": {"dims": "66"}}, "data.dims"),
+    ({"data": {"dims": None}}, "data.dims"),
+    ({"data": {"dims": [6, 6.0]}}, r"data.dims\[1\]"),
+    ({"model": {"hidden": ["16"]}}, r"model.hidden\[0\]"),
+    ({"model": {"hidden": ["x"]}}, r"model.hidden\[0\]"),
+    ({"model": {"hidden": [{"a": 1}]}}, r"model.hidden\[0\]"),
+    ({"model": {"hidden": [[8], [True]]}}, r"model.hidden\[1\]\[0\]"),
+    ({"seed": True}, "seed"),
+    ({"optimizer": {"lr": "0.1"}}, "optimizer.lr"),
+    ({"optimizer": {"lr": True}}, "optimizer.lr"),
+    ({"optimizer": {"lr": 10**400}}, "optimizer.lr"),
+    ({"data": {"classes": 3.9}}, "data.classes"),
+    ({"data": {"snr": "21"}}, "data.snr"),
+    ({"data": {"snr": [2.0, "1"]}}, r"data.snr\[1\]"),
+    ({"model": {"width": True}}, "model.width"),
+    ({"model": {"activation": 1}}, "model.activation"),
+    ({"optimizer": {"schedule": {"period": 1.5}}}, "optimizer.schedule.period"),
+    ({"optimizer": {"schedule": {"period": 0}}}, "optimizer.schedule.period"),
+    ({"comparison": [1]}, r"comparison\[0\]"),
+    ({"optimizer": {"schedule": []}}, "'optimizer.schedule' must be a JSON object"),
+    ([1, 2], "top-level config must be a JSON object"),
+])
+def test_resolve_rejects_wrong_types_naming_the_path(raw, path):
+    with pytest.raises(ConfigError, match=f"^{path}"):
+        resolve_config(raw)
+
+
+def test_readme_defaults_match_schema():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("## Configuration"):]
+    block = section[section.index("```json") + len("```json"):section.index("```\n\n")]
+    defaults = harness._nest({path: default for path, _type, default, _check in harness._SCHEMA})
+    assert json.loads(block) == defaults
 
 
 def test_resolve_per_modality_hidden():

@@ -56,7 +56,7 @@ def test_identity_encoder_feeds_raw_input():
     m = MultimodalModel([EncoderSpec(3)], FusionSpec("late", width=2), classes=2, bias=False)
     xs = [np.array([[1.0, -2.0, 0.5]])]
     trace = m.forward(xs)
-    assert_array_equal(trace.features[0], xs[0])
+    assert_array_equal(trace.acts[0][-1], xs[0])
 
 
 def test_init_is_seed_deterministic():
@@ -161,7 +161,10 @@ def test_masked_term_grads_vanish_off_coalition():
     m = late_model(bias=False)
     xs, labels = make_batch(m)
     _, grad = m.terms_value_and_grad(xs, labels, [((0,), None)])
-    off = m.params.group_mask("enc1.") | m.params.group_mask("head1.")
+    off = np.zeros(m.n_params, dtype=bool)
+    for name in m.params.names:
+        if name.startswith(("enc1.", "head1.")):
+            off[m.params.slice_of(name)] = True
     assert_array_equal(grad[off], 0.0)
     assert np.abs(grad[~off]).max() > 0.0
 

@@ -97,11 +97,3 @@ def test_derive_seed_is_order_sensitive_and_stable():
     assert derive_seed(0) != derive_seed(0, 0)
     seen = {derive_seed(a, b) for a in range(20) for b in range(20)}
     assert len(seen) == 400
-
-
-def test_split_streams_are_distinct():
-    r = Rng(99)
-    a = r.split(1).raw64(8)
-    b = r.split(2).raw64(8)
-    assert not np.array_equal(a, b)
-    assert not np.array_equal(a, Rng(99).raw64(8))
