@@ -1,7 +1,8 @@
 """Golden artifacts: the exact bytes of `metrics.csv` and `steps.csv`.
 
 Every preset runs for a few epochs at seed 0, plus the optimizer kinds and
-model options the presets leave out. Loss and gradient bytes are pinned too,
+model options the presets leave out, and msam runs with three and four
+modalities, whose Shapley coalition tables the presets' two cannot reach. Loss and gradient bytes are pinned too,
 for shapes the presets lack (three maxout pieces, three modalities, several
 weighted terms), where the order in which contributions are summed shows in
 the last bits. The pinned sha256 values were computed once and must never be
@@ -19,14 +20,22 @@ from msam.model import EncoderSpec, FusionSpec, MultimodalModel
 from msam.tensor import Rng, derive_seed
 
 CASES = {
-    "default": ("default", 4, {}, {}),
-    "dominance": ("dominance", 4, {}, {}),
-    "overfit": ("overfit", 4, {}, {}),
-    "smooth": ("smooth", 20, {}, {}),
-    "overfit-sgd": ("overfit", 4, {}, {"kind": "sgd"}),
-    "overfit-sam": ("overfit", 4, {}, {"kind": "sam"}),
-    "overfit-msam_branch": ("overfit", 4, {}, {"kind": "msam_branch"}),
-    "default-nobias-tanh": ("default", 4, {"bias": False, "activation": "tanh"}, {}),
+    "default": ("default", 4, {}),
+    "dominance": ("dominance", 4, {}),
+    "overfit": ("overfit", 4, {}),
+    "smooth": ("smooth", 20, {}),
+    "overfit-sgd": ("overfit", 4, {"optimizer": {"kind": "sgd"}}),
+    "overfit-sam": ("overfit", 4, {"optimizer": {"kind": "sam"}}),
+    "overfit-msam_branch": ("overfit", 4, {"optimizer": {"kind": "msam_branch"}}),
+    "default-nobias-tanh": ("default", 4, {"model": {"bias": False, "activation": "tanh"}}),
+    # coalition assembly beyond two modalities, under both fusion modes
+    "dominance-m3-pieces3-accuracy-paper": ("dominance", 4, {
+        "data": {"dims": [8, 6, 4], "snr": [2.0, 1.0, 0.5]},
+        "model": {"pieces": 3},
+        "optimizer": {"shapley_target": "accuracy", "shapley_variant": "paper"}}),
+    "overfit-m4-identity-tanh-nobias": ("overfit", 4, {
+        "data": {"dims": [8, 6, 4, 3], "snr": [2.0, 1.0, 0.5, 0.25]},
+        "model": {"hidden": [[16], [], [8], [6]], "activation": "tanh", "bias": False}}),
 }
 
 GOLDEN = {
@@ -34,10 +43,16 @@ GOLDEN = {
         "steps.csv": "d46c13a545a7605d0aba994358b7263f1fc8939215bba2742adb1011a8476bab"},
     "default-nobias-tanh": {"metrics.csv": "34bee2c103e49ea1f094bce9b5e29f5df6b1c91eb778ab78add35d05738a2e1b",
         "steps.csv": "72fcc8095094b9a47402c80249dc99c3e16c38366386cd9f544052a34a146c1f"},
+    "dominance-m3-pieces3-accuracy-paper": {
+        "metrics.csv": "b3b6018cdad5331f9e200ad481fac03648b3fe5dff3179a2f5436ec8d996136a",
+        "steps.csv": "8f925a29f79992fef24a4cb529e8f6e66184d6802c50f3a3abc0fbb246c3ca18"},
     "dominance": {"metrics.csv": "1d6abcbe6ba49fe3863ba2f5b62068dbfe849750fcda8c147a3ed494fbfaea64",
         "steps.csv": "f7479848d8458851b6a709f16027fdfdc8804a98e0173b7e7363b373793c5fa2"},
     "overfit": {"metrics.csv": "71901ef6be5c1df58671a16df623570337e2fab718ea67fcb97931ff8645dfe0",
         "steps.csv": "2b6508e27ce93bf1924d5cf82f78686f1da8b8c3e73213c253d9e9d3ba8ed7d5"},
+    "overfit-m4-identity-tanh-nobias": {
+        "metrics.csv": "7b8f3686f71cacbe2c21aacd2d9efee3fdfaffd7e656b9be2dfdebe3fbafa7f5",
+        "steps.csv": "e07af4027fa1797c22fd1b5c974691943d8fed5bc1f0673eb0e1811b45cf1981"},
     "overfit-msam_branch": {"metrics.csv": "84c1b9962dae740c544c6d90fb71d30e1f21ae8c2f4389664a765cfd6bbab4e6",
         "steps.csv": "644e30d9239e7a59e4fe8d878ccfd0f033b0c4681ab3e4e460a224f30f77641a"},
     "overfit-sam": {"metrics.csv": "27b1baa779ab4fad8acfbc03b582cb7ae1797fd6c90d5d1ac917e5d60bc8ad0e",
@@ -50,9 +65,9 @@ GOLDEN = {
 
 
 def artifact_hashes(case, out_dir):
-    name, epochs, model, optimizer = CASES[case]
+    name, epochs, overrides = CASES[case]
     raw = harness.preset(name, seed=0, epochs=epochs, eval_every=1, out_dir=str(out_dir),
-                         model=model, optimizer=optimizer)
+                         **overrides)
     harness.run(harness.resolve_config(raw))
     return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
             for f in ("metrics.csv", "steps.csv")}
