@@ -222,8 +222,15 @@ def _cmd_convergence(args) -> int:
         raise ConfigError(f"no steps.csv under {run_dir}")
     norms = []
     with open(steps_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            norms.append(float(row["grad_norm"]))
+        reader = csv.DictReader(fh)
+        if "grad_norm" not in (reader.fieldnames or ()):
+            raise ConfigError(f"{steps_path} has no grad_norm column")
+        for row in reader:
+            try:
+                norms.append(float(row["grad_norm"]))
+            except (TypeError, ValueError):  # a short row reads None
+                raise ConfigError(f"{steps_path} line {reader.line_num}: grad_norm "
+                                  f"{row['grad_norm']!r} is not a number") from None
     rep = convergence_report(norms, calibrate_at=args.calibrate_at)
     out = run_dir / "convergence.csv"
     with open(out, "w", newline="") as fh:

@@ -39,9 +39,10 @@ from .data import Dataset, SyntheticSpec, batches, generate
 from .errors import ConfigError, MsamError, NumericError
 from .metrics import (MetricRecord, convergence_report, ConvergenceReport, mono_modal_accuracy,
                       overfitting_gap)
-from .model import EncoderSpec, FusionSpec, MultimodalModel, evaluate
-from .optim import KINDS, OptimConfig, OptimState, Schedule, StepReport, train_step
-from .shapley import MAX_PLAYERS
+from .model import ACTIVATIONS, FUSIONS, EncoderSpec, FusionSpec, MultimodalModel, evaluate
+from .optim import (KINDS, SCHEDULES, OptimConfig, OptimState, Schedule, StepReport,
+                    train_step)
+from .shapley import MAX_PLAYERS, TARGETS, VARIANTS
 from .tensor import derive_seed
 
 Array = np.ndarray
@@ -130,6 +131,20 @@ def _at_least(lo: int):
     return lambda x: None if x >= lo else f"must be >= {lo}"
 
 
+def _within(test, wanted: str):
+    """A check that `test(value)` holds; each test here is written so that NaN fails it."""
+    return lambda x: None if test(x) else f"must be {wanted}"
+
+
+def _one_of(names: tuple[str, ...]):
+    return lambda x: None if x in names else f"must be one of {names}"
+
+
+def _widths(hidden: list) -> str | None:
+    flat = [w for h in hidden for w in (h if type(h) is list else [h])]
+    return None if all(w >= 1 for w in flat) else "must hold widths >= 1"
+
+
 def _distinct_kinds(kinds: list[str]) -> str | None:
     ok = set(kinds) <= set(KINDS) and len(set(kinds)) == len(kinds)
     return None if ok else f"must list distinct optimizer kinds from {KINDS}"
@@ -138,8 +153,9 @@ def _distinct_kinds(kinds: list[str]) -> str | None:
 _REQUIRED = object()  # the default of a key that must be given
 
 # One row per config field: (dotted path, type, default, check). The sections
-# are the paths' prefixes; the dataclasses check the rest (value ranges and
-# names), and `resolve_config` the rules that span several fields.
+# are the paths' prefixes. The checks repeat the dataclasses' own single-field
+# checks so that an error names its path; `resolve_config` checks the rules
+# that span several fields.
 _SCHEMA = (
     ("seed", _INT, 0, None),
     ("epochs", _INT, 5, _at_least(1)),
@@ -148,31 +164,33 @@ _SCHEMA = (
     ("early_stop_patience", _INT, 0, _at_least(0)),
     ("out_dir", _scalar("a string or null", str, type(None)), None, None),
     ("comparison", _list(_STR), [], _distinct_kinds),
-    ("data.classes", _INT, 3, None),
-    ("data.dims", _list(_INT), [6, 6], None),
-    ("data.snr", _list(_float), [2.0, 1.0], None),
-    ("data.n_train", _INT, 256, None),
-    ("data.n_val", _INT, 64, None),
-    ("data.n_test", _INT, 256, None),
-    ("model.hidden", _hidden, [16], None),
-    ("model.activation", _STR, "relu", None),
-    ("model.fusion", _STR, "late", None),
-    ("model.width", _INT, 8, None),
+    ("data.classes", _INT, 3, _at_least(2)),
+    ("data.dims", _list(_INT), [6, 6],
+     _within(lambda dims: dims and min(dims) >= 1, "a non-empty list of dims >= 1")),
+    ("data.snr", _list(_float), [2.0, 1.0],
+     _within(lambda snr: all(0.0 <= s < math.inf for s in snr), "finite values >= 0")),
+    ("data.n_train", _INT, 256, _at_least(1)),
+    ("data.n_val", _INT, 64, _at_least(1)),
+    ("data.n_test", _INT, 256, _at_least(1)),
+    ("model.hidden", _hidden, [16], _widths),
+    ("model.activation", _STR, "relu", _one_of(ACTIVATIONS)),
+    ("model.fusion", _STR, "late", _one_of(FUSIONS)),
+    ("model.width", _INT, 8, _at_least(1)),
     ("model.pieces", _INT, 2, None),
     ("model.bias", _scalar("true or false", bool), True, None),
-    ("optimizer.kind", _STR, "msam", None),
-    ("optimizer.lr", _float, 0.05, None),
-    ("optimizer.momentum", _float, 0.9, None),
-    ("optimizer.weight_decay", _float, 1e-4, None),
-    ("optimizer.rho", _float, 0.05, None),
-    ("optimizer.schedule.kind", _STR, "constant", None),
-    ("optimizer.schedule.factor", _float, 0.1, None),
+    ("optimizer.kind", _STR, "msam", _one_of(KINDS)),
+    ("optimizer.lr", _float, 0.05, _within(lambda x: 0.0 < x < math.inf, "finite and > 0")),
+    ("optimizer.momentum", _float, 0.9, _within(lambda x: 0.0 <= x < 1.0, "in [0, 1)")),
+    ("optimizer.weight_decay", _float, 1e-4,
+     _within(lambda x: 0.0 <= x < math.inf, "finite and >= 0")),
+    ("optimizer.rho", _float, 0.05, _within(lambda x: 0.0 <= x < math.inf, "finite and >= 0")),
+    ("optimizer.schedule.kind", _STR, "constant", _one_of(SCHEDULES)),
+    ("optimizer.schedule.factor", _float, 0.1, _within(lambda x: 0.0 < x <= 1.0, "in (0, 1]")),
     ("optimizer.schedule.period", _INT, 70, _at_least(1)),
-    ("optimizer.schedule.period_unit", _STR, "steps",
-     lambda unit: None if unit in ("steps", "epochs") else "must be 'steps' or 'epochs'"),
-    ("optimizer.shapley_every", _INT, 1, None),
-    ("optimizer.shapley_target", _STR, "loss", None),
-    ("optimizer.shapley_variant", _STR, "standard", None),
+    ("optimizer.schedule.period_unit", _STR, "steps", _one_of(("steps", "epochs"))),
+    ("optimizer.shapley_every", _INT, 1, _at_least(1)),
+    ("optimizer.shapley_target", _STR, "loss", _one_of(TARGETS)),
+    ("optimizer.shapley_variant", _STR, "standard", _one_of(VARIANTS)),
 )
 
 # The `export-data` spec: the data section at the top level, every key
@@ -273,6 +291,8 @@ def resolve_config(raw: Any) -> ExperimentConfig:
         hidden = [hidden] * data.modalities
     encoders = tuple(EncoderSpec(d, tuple(h), model["activation"])
                      for d, h in zip(data.dims, hidden))
+    if model["fusion"] == "early" and model["pieces"] < 2:
+        raise ConfigError(f"model.pieces must be >= 2 for early fusion, got {model['pieces']}")
     fusion = FusionSpec(model["fusion"], model["width"], model["pieces"])
 
     schedule = values["optimizer.schedule"]

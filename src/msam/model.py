@@ -11,12 +11,19 @@ passes (`loss_value_and_grad`, `terms_value_and_grad`) run it with every
 linear layer checked finite, then apply a hand-written backward to the
 activations it returns. A coalition is always the set of modalities that stay
 active: everything else has its inputs zeroed before encoding.
+
+A modality's branch (its encoder and, under late fusion, its head) sees only
+its own input, so `branch_cache` runs each branch once on the input and once
+on zeros, and `forward_masked` then assembles any coalition from that cache
+by fusion alone: 2M branch passes, then 2**M assembled coalitions, where
+uncached masking costs 2**M full forwards.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +32,11 @@ from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .tensor import Rng, derive_seed
 
 Array = np.ndarray
+# every modality's branch: (acts, hidden, logits), see `MultimodalModel._branches`
+Branches = tuple[list[list[Array]], list[Array] | None, list[Array] | None]
 
-_ACTIVATIONS = ("relu", "tanh")
+ACTIVATIONS = ("relu", "tanh")
+FUSIONS = ("early", "late")
 
 
 @dataclass(frozen=True)
@@ -46,8 +56,8 @@ class EncoderSpec:
             raise ConfigError(f"encoder in_dim must be >= 1, got {self.in_dim}")
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"encoder hidden widths must be >= 1, got {self.hidden}")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
     @property
     def out_dim(self) -> int:
@@ -64,7 +74,7 @@ class FusionSpec:
     pieces: int = 2
 
     def __post_init__(self):
-        if self.mode not in ("early", "late"):
+        if self.mode not in FUSIONS:
             raise ConfigError(f"fusion mode must be 'early' or 'late', got {self.mode!r}")
         if self.width < 1:
             raise ConfigError(f"fusion width must be >= 1, got {self.width}")
@@ -87,6 +97,21 @@ class ForwardTrace:
     fused: Array
     logits: Array
     keep: tuple[int, ...]
+
+
+class BranchCache(NamedTuple):
+    """One batch's branch outputs, from `MultimodalModel.branch_cache`.
+
+    `sides` holds every branch run on zeros, then on the inputs, each as
+    (acts, hidden, logits) in the layout of `MultimodalModel._branches`.
+    `model`, `flat` (the parameter buffer, which `load_flat` replaces rather
+    than writes) and `inputs` identify what the cache is valid for.
+    """
+
+    model: "MultimodalModel"
+    flat: Array
+    inputs: tuple[Array, ...]
+    sides: tuple[Branches, Branches]
 
 
 def _relu(z: Array) -> Array:
@@ -119,19 +144,28 @@ def _cross_entropy(z: Array, labels: Array, onehot: Array, w: float) -> tuple[fl
     return value * w, ((ez / sez - onehot) / n) * w
 
 
-def _check_labels(labels: Array, classes: int) -> None:
+def check_labels(labels: Array, n: int, classes: int) -> None:
+    """Labels must be `n` integers in [0, classes)."""
+    if labels.shape != (n,):
+        raise DimensionError(f"labels shape {labels.shape} != ({n},)")
     if labels.dtype.kind not in "iu":
         raise UsageError("labels must be integers")
     if labels.min() < 0 or labels.max() >= classes:
         raise UsageError(f"labels must lie in [0, {classes})")
 
 
-def mask_inputs(xs: Sequence[Array], keep: Iterable[int], n_modalities: int) -> list[Array]:
-    """Zero the inputs of every modality not in `keep` (the active coalition)."""
-    kept = frozenset(keep)
+def _coalition(keep: Iterable[int], n_modalities: int) -> tuple[int, ...]:
+    """The members of `keep` in ascending order, each checked to be a modality."""
+    kept = tuple(sorted(frozenset(keep)))
     for m in kept:
         if not 0 <= m < n_modalities:
             raise UsageError(f"coalition member {m} outside [0, {n_modalities})")
+    return kept
+
+
+def mask_inputs(xs: Sequence[Array], keep: Iterable[int], n_modalities: int) -> list[Array]:
+    """Zero the inputs of every modality not in `keep` (the active coalition)."""
+    kept = _coalition(keep, n_modalities)
     return [xs[m] if m in kept else np.zeros_like(xs[m]) for m in range(n_modalities)]
 
 
@@ -195,7 +229,7 @@ class MultimodalModel:
     def n_params(self) -> int:
         return self.params.size
 
-    def _check_inputs(self, xs: Sequence[Array], labels: Array | None = None) -> int:
+    def _check_inputs(self, xs: Sequence[Array]) -> int:
         if len(xs) != self.n_modalities:
             raise DimensionError(f"expected {self.n_modalities} modality arrays, got {len(xs)}")
         n = None
@@ -211,8 +245,6 @@ class MultimodalModel:
                 raise DimensionError("modality arrays disagree on batch size")
         if n == 0:
             raise UsageError("batch must be non-empty")
-        if labels is not None and np.asarray(labels).shape != (n,):
-            raise DimensionError(f"labels shape {np.asarray(labels).shape} != ({n},)")
         return int(n)
 
     def _linear(self, h: Array, name: str, checked: bool) -> Array:
@@ -223,25 +255,47 @@ class MultimodalModel:
             raise NumericError(f"layer {name} produced non-finite values")
         return z
 
+    def _branches(self, inputs: list[Array], checked: bool) -> Branches:
+        """Every modality's branch on `inputs`: (acts, hidden, logits).
+
+        `acts[m]` is modality m's input and each encoder layer's activation.
+        Under late fusion `hidden[m]` and `logits[m]` are its head's hidden
+        activation and logits; under early fusion both are None. Every
+        encoder runs before any head, which fixes the layer that a checked
+        pass names first.
+        """
+        acts = []
+        for m, es in enumerate(self.encoders):
+            act = _ACT[es.activation]
+            a = [inputs[m]]
+            for i in range(len(es.hidden)):
+                a.append(act(self._linear(a[-1], f"enc{m}.l{i}", checked)))
+            acts.append(a)
+        if self.fusion.mode == "early":
+            return acts, None, None
+        hidden, logits = [], []
+        for m, a in enumerate(acts):
+            h = _ACT[self.encoders[m].activation](self._linear(a[-1], f"head{m}.l0", checked))
+            hidden.append(h)
+            logits.append(self._linear(h, f"head{m}.l1", checked))
+        return acts, hidden, logits
+
     def _forward(self, masked: list[Array], keep: tuple[int, ...], checked: bool) -> ForwardTrace:
         """The layer stack on already-masked inputs.
 
         With `checked`, the first linear layer whose output is not finite
         raises NumericError naming it.
         """
-        acts = []
-        for m, es in enumerate(self.encoders):
-            act = _ACT[es.activation]
-            a = [masked[m]]
-            for i in range(len(es.hidden)):
-                a.append(act(self._linear(a[-1], f"enc{m}.l{i}", checked)))
-            acts.append(a)
-        if self.fusion.mode == "late":
-            hidden, logits = [], None
-            for m, a in enumerate(acts):
-                h = _ACT[self.encoders[m].activation](self._linear(a[-1], f"head{m}.l0", checked))
-                hidden.append(h)
-                out = self._linear(h, f"head{m}.l1", checked)
+        return self._fuse(*self._branches(masked, checked), keep, checked)
+
+    def _fuse(self, acts: list[list[Array]], hidden: list[Array] | None,
+              branch_logits: list[Array] | None, keep: tuple[int, ...],
+              checked: bool) -> ForwardTrace:
+        """Fusion of the branches: the late heads' logits summed in modality
+        order, or the early maxout head on the concatenated features."""
+        if branch_logits is not None:
+            logits = None
+            for out in branch_logits:
                 logits = out if logits is None else logits + out
             return ForwardTrace(acts, hidden, logits, logits, keep)
         joint = np.concatenate([a[-1] for a in acts], axis=1)
@@ -306,8 +360,8 @@ class MultimodalModel:
         the flat gradient are each checked finite once.
         """
         labels = np.asarray(labels)
-        n = self._check_inputs(xs, labels)
-        _check_labels(labels, self.classes)
+        n = self._check_inputs(xs)
+        check_labels(labels, n, self.classes)
         xs = [np.asarray(x, dtype=np.float64) for x in xs]
         onehot = np.zeros((n, self.classes), dtype=np.float64)
         onehot[np.arange(n), labels] = 1.0
@@ -330,18 +384,52 @@ class MultimodalModel:
             raise NumericError(f"gradient of {name} is non-finite")
         return float(loss), grad
 
-    def forward_masked(self, xs: Sequence[Array], keep: Iterable[int]) -> ForwardTrace:
+    def branch_cache(self, xs: Sequence[Array]) -> BranchCache:
+        """Every modality's branch on zeros and on its input: 2M branch passes.
+
+        A branch is the modality's encoder, followed under late fusion by its
+        head. `forward_masked` with this cache assembles any coalition of
+        this batch from it, bit for bit as without the cache, for as long as
+        the parameters stay unchanged. Like `forward_masked`, it never raises
+        on overflow.
+        """
+        self._check_inputs(xs)
+        xs64 = [np.asarray(x, dtype=np.float64) for x in xs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sides = (self._branches([np.zeros_like(x) for x in xs64], False),
+                     self._branches(xs64, False))
+        return BranchCache(self, self.params._flat, tuple(xs), sides)
+
+    def forward_masked(
+        self, xs: Sequence[Array], keep: Iterable[int], cache: BranchCache | None = None
+    ) -> ForwardTrace:
         """Plain forward with only the coalition `keep` active.
 
         Unlike the training passes this never raises on overflow: evaluation
-        of a diverged model reports inf/nan values as they are.
+        of a diverged model reports inf/nan values as they are. With a
+        `cache` from `branch_cache(xs)` only the fusion runs; a cache built
+        for another model, other inputs or older parameters is a UsageError.
         """
-        self._check_inputs(xs)
+        if cache is None:
+            self._check_inputs(xs)
+        elif cache.model is not self or cache.flat is not self.params._flat:
+            raise UsageError("branch cache was built for another model or older parameters")
+        elif len(xs) != len(cache.inputs) or not all(map(operator.is_, xs, cache.inputs)):
+            raise UsageError("branch cache was built from other inputs")
         self.counters["masked_forward"] += 1
-        keep = tuple(sorted(frozenset(keep)))
-        masked = mask_inputs([np.asarray(x, dtype=np.float64) for x in xs], keep, self.n_modalities)
+        keep = _coalition(keep, self.n_modalities)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._forward(masked, keep, False)
+            if cache is None:
+                masked = mask_inputs([np.asarray(x, dtype=np.float64) for x in xs], keep,
+                                     self.n_modalities)
+                return self._forward(masked, keep, False)
+            sides = [cache.sides[m in keep] for m in range(self.n_modalities)]
+            acts = [side[0][m] for m, side in enumerate(sides)]
+            if self.fusion.mode == "early":
+                return self._fuse(acts, None, None, keep, False)
+            hidden = [side[1][m] for m, side in enumerate(sides)]
+            logits = [side[2][m] for m, side in enumerate(sides)]
+            return self._fuse(acts, hidden, logits, keep, False)
 
     def forward(self, xs: Sequence[Array]) -> ForwardTrace:
         """Plain forward with every modality active."""
@@ -367,6 +455,18 @@ class MultimodalModel:
         return self._value_and_grad(xs, labels, terms)
 
 
+def mean_loss(logits: Array, labels: Array) -> float:
+    """Mean softmax cross-entropy of logits whose labels passed `check_labels`,
+    in the training loss's log-sum-exp arithmetic."""
+    logp, _, _ = _log_softmax(logits)
+    return float(-logp[np.arange(logits.shape[0]), labels].mean())
+
+
+def accuracy(logits: Array, labels: Array) -> float:
+    """Top-1 accuracy of logits whose labels passed `check_labels`."""
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
 def loss_and_accuracy(logits: Array, labels: Array) -> tuple[float, float]:
     """Mean softmax cross-entropy and top-1 accuracy of raw logits.
 
@@ -379,13 +479,10 @@ def loss_and_accuracy(logits: Array, labels: Array) -> tuple[float, float]:
         raise DimensionError(f"got logits {z.shape} with labels {labels.shape}")
     if z.shape[0] == 0:
         raise UsageError("need a non-empty batch")
-    _check_labels(labels, z.shape[1])
+    check_labels(labels, z.shape[0], z.shape[1])
     # non-finite logits (diverged model) pass through as inf/nan, not errors
     with np.errstate(over="ignore", invalid="ignore"):
-        logp, _, _ = _log_softmax(z)
-        loss = float(-logp[np.arange(z.shape[0]), labels].mean())
-        acc = float(np.mean(np.argmax(z, axis=1) == labels))
-    return loss, acc
+        return mean_loss(z, labels), accuracy(z, labels)
 
 
 def evaluate(model: MultimodalModel, xs: Sequence[Array], labels: Array) -> tuple[float, float]:

@@ -30,7 +30,7 @@ Array = np.ndarray
 GRAD_NORM_FLOOR = 1e-12
 
 KINDS = ("sgd", "sam", "msam", "msam_branch")
-_SCHEDULES = ("constant", "inverse_sqrt", "step_decay")
+SCHEDULES = ("constant", "inverse_sqrt", "step_decay")
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class Schedule:
     period: int = 70
 
     def __post_init__(self):
-        if self.kind not in _SCHEDULES:
-            raise ConfigError(f"schedule kind must be one of {_SCHEDULES}, got {self.kind!r}")
+        if self.kind not in SCHEDULES:
+            raise ConfigError(f"schedule kind must be one of {SCHEDULES}, got {self.kind!r}")
         if not 0.0 < self.factor <= 1.0:
             raise ConfigError(f"decay factor must be in (0, 1], got {self.factor}")
         if self.period < 1:
@@ -245,10 +245,10 @@ def msam_step(
 
         nu_d * grad L(theta + eps) + (1 - nu_d) * grad L(theta) + wd * theta
 
-    Costs two taped passes plus the 2**M - 1 masked forwards of the Shapley
-    attribution (the loss target reuses the first pass for the full
-    coalition; the accuracy target costs 2**M); one taped pass when the
-    perturbation is degenerate.
+    Costs two taped passes (one when the perturbation is degenerate) plus
+    the Shapley attribution: 2M branch passes, then 2**M - 1 assembled
+    coalitions, each counted as a masked forward (the loss target reuses the
+    first pass for the full coalition; the accuracy target assembles 2**M).
     """
     t = state.t + 1
     lr_t, rho_t = cfg.schedule.at(cfg.lr, cfg.rho, t)

@@ -5,9 +5,11 @@ contributions over all coalitions S not containing m:
 
     phi[m] = sum_S |S|! (M - |S| - 1)! / M! * (v(S + {m}) - v(S))
 
-Every coalition value is computed exactly once and memoized, so one
-attribution costs 2**M evaluations of the set function (fewer when values are
-seeded by the caller). Two variants exist: "standard" sums over all S
+Every coalition value is computed exactly once and memoized. For a model,
+`attribute_batch` first caches each modality's branch on its input and on
+zeros, so one attribution costs 2M branch passes, then 2**M assembled
+coalitions (one fewer when the caller seeds the full coalition's loss), each
+only a fusion and a score. Two variants exist: "standard" sums over all S
 including the empty coalition (the classic definition, for which the
 efficiency axiom sum(phi) = v(full) - v(empty) holds exactly), and "paper"
 drops the empty coalition from the sum, kept for comparison because some
@@ -23,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericError, UsageError
-from .model import MultimodalModel, loss_and_accuracy
+from .model import MultimodalModel, accuracy, check_labels, mean_loss
 
 Array = np.ndarray
 
@@ -129,24 +131,28 @@ def attribute_batch(
 
     The set function is v(S) = -(mean loss with coalition S active) for
     `target="loss"` (negated so that more helpful modalities score higher),
-    or masked accuracy for `target="accuracy"`. `full_loss`, when the caller
-    already knows the full-coalition loss, seeds the table and saves one
-    forward pass.
+    or masked accuracy for `target="accuracy"`. Every coalition is assembled
+    from one `model.branch_cache` of the batch, by one counted
+    `model.forward_masked` call each. `full_loss`, when the caller already
+    knows the full-coalition loss, seeds the table and saves one of them.
     """
     if target not in TARGETS:
         raise UsageError(f"target must be one of {TARGETS}, got {target!r}")
-    labels = np.asarray(labels)
     n = model.n_modalities
+    cache = model.branch_cache(xs)
+    labels = np.asarray(labels)
+    check_labels(labels, len(xs[0]), model.classes)
 
     def value_fn(keep: frozenset[int]) -> float:
-        trace = model.forward_masked(xs, keep)
-        loss, acc = loss_and_accuracy(trace.logits, labels)
-        return -loss if target == "loss" else acc
+        logits = model.forward_masked(xs, keep, cache=cache).logits
+        return -mean_loss(logits, labels) if target == "loss" else accuracy(logits, labels)
 
     seed = None
     if full_loss is not None and target == "loss":
         seed = {(1 << n) - 1: -float(full_loss)}
-    phi, table = shapley_exact(value_fn, n, variant=variant, values=seed)
+    # non-finite coalition values are shapley_exact's NumericError, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, table = shapley_exact(value_fn, n, variant=variant, values=seed)
     nu, degenerate = normalize_weights(phi)
     return ShapleyAttribution(
         phi=phi,

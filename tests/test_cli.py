@@ -208,6 +208,19 @@ def test_convergence_needs_steps_csv(tmp_path, capsys):
     assert "steps.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t,grad_norm\n1,0.5\n2,abc\n", "line 3: grad_norm 'abc' is not a number"),
+    ("t,grad_norm\n1,0.5\n2\n", "line 3: grad_norm None is not a number"),
+    ("t,loss\n1,0.5\n", "has no grad_norm column"),
+    ("", "has no grad_norm column"),
+])
+def test_convergence_rejects_a_damaged_steps_csv(tmp_path, capsys, text, message):
+    (tmp_path / "steps.csv").write_text(text)
+    assert main(["convergence", "--run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "steps.csv") in err and message in err
+
+
 # ----------------------------------------------------------------- export-data
 
 

@@ -112,6 +112,27 @@ def test_resolve_scalar_validation():
     ({"comparison": [1]}, r"comparison\[0\]"),
     ({"optimizer": {"schedule": []}}, "'optimizer.schedule' must be a JSON object"),
     ([1, 2], "top-level config must be a JSON object"),
+    ({"data": {"classes": 1}}, "data.classes"),
+    ({"data": {"dims": []}}, "data.dims"),
+    ({"data": {"dims": [6, 0]}}, "data.dims"),
+    ({"data": {"snr": [2.0, float("nan")]}}, "data.snr"),
+    ({"data": {"n_val": 0}}, "data.n_val"),
+    ({"model": {"hidden": [[8], [0]]}}, "model.hidden"),
+    ({"model": {"activation": "sigmoid"}}, "model.activation"),
+    ({"model": {"fusion": "x"}}, "model.fusion"),
+    ({"model": {"width": 0}}, "model.width"),
+    ({"model": {"fusion": "early", "pieces": 1}}, "model.pieces"),
+    ({"optimizer": {"kind": "adam"}}, "optimizer.kind"),
+    ({"optimizer": {"lr": 0}}, "optimizer.lr"),
+    ({"optimizer": {"lr": float("inf")}}, "optimizer.lr"),
+    ({"optimizer": {"momentum": 1.0}}, "optimizer.momentum"),
+    ({"optimizer": {"weight_decay": -1e-4}}, "optimizer.weight_decay"),
+    ({"optimizer": {"rho": float("nan")}}, "optimizer.rho"),
+    ({"optimizer": {"schedule": {"kind": "cosine"}}}, "optimizer.schedule.kind"),
+    ({"optimizer": {"schedule": {"factor": 2.0}}}, "optimizer.schedule.factor"),
+    ({"optimizer": {"shapley_every": 0}}, "optimizer.shapley_every"),
+    ({"optimizer": {"shapley_target": "f1"}}, "optimizer.shapley_target"),
+    ({"optimizer": {"shapley_variant": "x"}}, "optimizer.shapley_variant"),
 ])
 def test_resolve_rejects_wrong_types_naming_the_path(raw, path):
     with pytest.raises(ConfigError, match=f"^{path}"):

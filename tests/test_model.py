@@ -157,6 +157,60 @@ def test_inactive_input_is_irrelevant(build):
     assert_array_equal(m.forward_masked(xs2, {0}).logits, ref)
 
 
+def random_model(rng, n_modalities, fusion, activation, bias):
+    """A random shape: 0-2 hidden layers per encoder, 2-3 maxout pieces."""
+    encoders = [EncoderSpec(int(rng.integers(1, 5)),
+                            tuple(int(w) for w in rng.integers(1, 6, rng.integers(0, 3))),
+                            activation)
+                for _ in range(n_modalities)]
+    fusion = FusionSpec(fusion, width=int(rng.integers(1, 6)), pieces=int(rng.integers(2, 4)))
+    return MultimodalModel(encoders, fusion, classes=int(rng.integers(2, 5)), bias=bias,
+                           seed=int(rng.integers(1000)))
+
+
+@pytest.mark.parametrize("fusion, activation, seed", [
+    ("late", "relu", 1), ("late", "tanh", 2), ("early", "relu", 3), ("early", "tanh", 4)])
+def test_cached_coalitions_are_bitwise_equal(fusion, activation, seed):
+    rng = np.random.default_rng(seed)
+    nonfinite = 0
+    for bias in (True, False):
+        for n_modalities in range(1, 6):
+            for scale in (1.0, 1e160):
+                m = random_model(rng, n_modalities, fusion, activation, bias)
+                flat = m.params.flatten()
+                m.params.load_flat(scale * (flat + rng.normal(size=flat.size)))
+                xs, _ = make_batch(m, n=int(rng.integers(1, 9)), seed=int(rng.integers(1000)))
+                cache = m.branch_cache(xs)
+                for mask in range(1 << n_modalities):
+                    keep = [k for k in range(n_modalities) if mask >> k & 1]
+                    plain = m.forward_masked(xs, keep)
+                    cached = m.forward_masked(xs, keep, cache=cache)
+                    assert cached.keep == plain.keep
+                    assert cached.logits.tobytes() == plain.logits.tobytes()
+                    assert cached.fused.tobytes() == plain.fused.tobytes()
+                    nonfinite += not np.isfinite(plain.logits).all()
+    # the scaled-up models overflow to inf/nan without raising; tanh bounds
+    # the late heads' hidden layer, so their logits stay finite
+    assert nonfinite > 0 or (fusion, activation) == ("late", "tanh")
+
+
+def test_stale_branch_cache_is_rejected():
+    m = late_model()
+    xs, _ = make_batch(m)
+    cache = m.branch_cache(xs)
+    assert_array_equal(m.forward_masked(xs, {0}, cache=cache).logits,
+                       m.forward_masked(xs, {0}).logits)
+    with pytest.raises(UsageError, match="another model"):
+        late_model().forward_masked(xs, {0}, cache=cache)
+    with pytest.raises(UsageError, match="other inputs"):
+        m.forward_masked([x.copy() for x in xs], {0}, cache=cache)
+    with pytest.raises(UsageError, match="coalition member"):
+        m.forward_masked(xs, {2}, cache=cache)
+    m.params.load_flat(m.params.flatten())  # same values, a new buffer
+    with pytest.raises(UsageError, match="older parameters"):
+        m.forward_masked(xs, {0}, cache=cache)
+
+
 def test_masked_term_grads_vanish_off_coalition():
     m = late_model(bias=False)
     xs, labels = make_batch(m)

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from msam.errors import DimensionError, NumericError, UsageError
-from msam.model import EncoderSpec, FusionSpec, MultimodalModel, evaluate
+from msam.model import EncoderSpec, FusionSpec, MultimodalModel, evaluate, loss_and_accuracy
 from msam.shapley import (ShapleyAttribution, attribute_batch, dominant_modality,
                           normalize_weights, shapley_exact)
 from msam.tensor import Rng
@@ -232,6 +232,28 @@ def test_attribute_batch_full_loss_seed_is_equivalent():
     assert_array_equal(seeded.nu, plain.nu)
 
 
+@pytest.mark.parametrize("fusion", ["late", "early"])
+@pytest.mark.parametrize("n_modalities", [1, 2, 3, 5])
+def test_attribute_batch_counts_calls_and_matches_uncached_coalitions(fusion, n_modalities):
+    m = MultimodalModel([EncoderSpec(2, (3,)) for _ in range(n_modalities)],
+                        FusionSpec(fusion, width=4, pieces=3), classes=3, seed=n_modalities)
+    xs, labels = model_batch(m)
+    full = 1 << n_modalities
+    for target in ("loss", "accuracy"):
+        # the reference: one uncached masked forward and `loss_and_accuracy` per coalition
+        want = {}
+        for mask in range(full):
+            logits = m.forward_masked(xs, [k for k in range(n_modalities) if mask >> k & 1]).logits
+            loss, acc = loss_and_accuracy(logits, labels)
+            want[mask] = -loss if target == "loss" else acc
+        full_loss, _ = evaluate(m, xs, labels)
+        for seed, calls in ((None, full), (full_loss, full - (target == "loss"))):
+            before = m.counters["masked_forward"]
+            att = attribute_batch(m, xs, labels, target=target, full_loss=seed)
+            assert m.counters["masked_forward"] - before == calls
+            assert att.coalition_values == want
+
+
 def test_attribute_batch_constant_model_is_degenerate():
     m = three_modality_model(bias=False)
     m.params.load_flat(np.zeros(m.n_params))
@@ -259,6 +281,12 @@ def test_attribute_batch_validation():
     xs, labels = model_batch(m)
     with pytest.raises(UsageError):
         attribute_batch(m, xs, labels, target="f1")
+    with pytest.raises(DimensionError):
+        attribute_batch(m, xs, labels[:-1])
+    with pytest.raises(UsageError):
+        attribute_batch(m, xs, labels.astype(np.float64))
+    with pytest.raises(UsageError):
+        attribute_batch(m, xs, np.full_like(labels, 3))
     big = MultimodalModel([EncoderSpec(1) for _ in range(9)],
                           FusionSpec("late", width=2), classes=2)
     bxs = [np.ones((2, 1))] * 9
