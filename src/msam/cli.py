@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -16,9 +17,10 @@ import numpy as np
 
 from .autodiff import grad_check
 from .data import batches, generate, save_dataset
-from .errors import ConfigError, DimensionError, MsamError, NumericError, UsageError
+from .errors import ConfigError, MsamError, NumericError
 from .harness import (
     ExperimentConfig,
+    _new_model,
     compare,
     load_checkpoint,
     preset,
@@ -28,7 +30,7 @@ from .harness import (
     run,
 )
 from .metrics import convergence_report, landscape_grid
-from .model import MultimodalModel, evaluate
+from .model import evaluate
 from .shapley import attribute_batch
 from .tensor import Rng, derive_seed
 
@@ -156,10 +158,8 @@ def _pick_batch(config: ExperimentConfig, train, k: int):
     n_batches = -(-train.n // config.batch_size)
     if not 0 <= k < n_batches:
         raise ConfigError(f"--batch must be in [0, {n_batches}), got {k}")
-    for i, (xs, ys) in enumerate(batches(train, config.batch_size, derive_seed(config.seed, 3, 0))):
-        if i == k:
-            return xs, ys
-    raise ConfigError(f"batch {k} out of range")  # unreachable
+    stream = batches(train, config.batch_size, derive_seed(config.seed, 3, 0))
+    return next(itertools.islice(stream, k, None))
 
 
 def _cmd_audit(args) -> int:
@@ -194,12 +194,9 @@ def _cmd_audit(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     config = _config_from_args(args, "default")
-    model = MultimodalModel(
-        config.encoders, config.fusion, config.data.classes,
-        bias=config.bias, seed=config.seed,
-    )
+    model = _new_model(config)
     train, _val, _test = generate(config.data)
-    xs, ys = next(batches(train, config.batch_size, derive_seed(config.seed, 3, 0)))
+    xs, ys = _pick_batch(config, train, 0)
     _, grad = model.loss_value_and_grad(xs, ys)
     report = grad_check(
         lambda: evaluate(model, xs, ys)[0], model.params, grad,
@@ -263,9 +260,6 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 2
-    except (ConfigError, UsageError, DimensionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except MsamError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -382,7 +382,6 @@ def _assert_pass_budget(
 
 
 def _epoch_record(
-    config: ExperimentConfig,
     model: MultimodalModel,
     splits: Sequence[Dataset],
     epoch: int,
@@ -469,15 +468,18 @@ def write_steps_csv(path: Path, steps: Sequence[StepReport], steps_per_epoch: in
             w.writerow(row)
 
 
+def _new_model(config: ExperimentConfig) -> MultimodalModel:
+    """The freshly initialized model a config describes."""
+    return MultimodalModel(config.encoders, config.fusion, config.data.classes,
+                           bias=config.bias, seed=config.seed)
+
+
 def run(config: ExperimentConfig) -> RunRecord:
     """Train once per the config and (if out_dir is set) write all artifacts."""
     t_start = time.perf_counter()
     splits = generate(config.data)
     train, _val, _test = splits
-    model = MultimodalModel(
-        config.encoders, config.fusion, config.data.classes,
-        bias=config.bias, seed=config.seed,
-    )
+    model = _new_model(config)
     state = OptimState(model.n_params)
     steps: list[StepReport] = []
     records: list[MetricRecord] = []
@@ -498,7 +500,7 @@ def run(config: ExperimentConfig) -> RunRecord:
             steps.append(rep)
         last_epoch = epoch == config.epochs - 1
         if (epoch + 1) % config.eval_every == 0 or last_epoch:
-            rec = _epoch_record(config, model, splits, epoch, epoch_reports)
+            rec = _epoch_record(model, splits, epoch, epoch_reports)
             records.append(rec)
             if config.early_stop_patience > 0:
                 if rec.loss["val"] < best_val:
@@ -588,10 +590,7 @@ def load_checkpoint(run_dir: str | Path) -> tuple[ExperimentConfig, MultimodalMo
     if not cfg_path.exists() or not npz_path.exists():
         raise ConfigError(f"{run_dir} is not a checkpoint (need config.json and params.npz)")
     config = load_config(cfg_path)
-    model = MultimodalModel(
-        config.encoders, config.fusion, config.data.classes,
-        bias=config.bias, seed=config.seed,
-    )
+    model = _new_model(config)
     with np.load(npz_path) as npz:
         names = set(npz.files)
         if names != set(model.params.names):

@@ -60,9 +60,8 @@ def relative_gain(acc_method: float, acc_baseline: float) -> float:
 
 
 def mono_modal_accuracy(model: MultimodalModel, xs: Sequence[Array], labels: Array, m: int) -> float:
-    """Accuracy with only modality m active (all others zero-masked)."""
-    if not 0 <= m < model.n_modalities:
-        raise UsageError(f"modality index {m} outside [0, {model.n_modalities})")
+    """Accuracy with only modality m active (all others zero-masked); an
+    index outside [0, M) is a UsageError."""
     trace = model.forward_masked(xs, (m,))
     _, acc = loss_and_accuracy(trace.logits, np.asarray(labels))
     return acc

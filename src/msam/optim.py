@@ -1,13 +1,19 @@
 """Optimizers: SGD with momentum, SAM, and the modality-aware SAM variants.
 
-All four optimizers funnel through one descent helper (momentum accumulation
-plus the parameter write), and the perturbed variants short-circuit to the
-plain-gradient direction whenever the perturbation is degenerate (zero radius
-or vanishing gradient norm). Together those two choices make the documented
-degeneracies exact, not approximate: with rho = 0 the sharpness-aware steps
-reproduce SGD's float-for-float trajectory, and with a single modality the
-modality-aware step reproduces SAM's, because nu collapses to exactly 1.0 and
-`1.0 * g2 + 0.0 * g1` is bit-exact `g2` for finite gradients.
+Every kind takes one update, `_step`: perturb theta by rho_t * a / ||a|| along
+an ascent direction a, take the gradient g_p there, restore theta, then
+
+    v <- momentum * v + mix(g_p) + weight_decay * theta;  theta <- theta - lr_t * v
+
+(coupled L2 weight decay). The kinds differ only in a and mix: SGD has
+rho = 0; SAM ascends along g and mixes with the identity; M-SAM mixes
+nu_d * g_p + (1 - nu_d) * g; per-branch M-SAM ascends along the dominant
+branch gradient g_d and mixes g_dp + g_s. A degenerate perturbation (zero
+radius or ||a|| below GRAD_NORM_FLOOR) skips the second pass and descends
+along the unperturbed gradient itself. That makes the documented degeneracies
+exact: with rho = 0, SAM and M-SAM reproduce SGD float for float, and with one
+modality the modality-aware kinds reproduce SAM, because nu collapses to
+exactly 1.0 and `1.0 * g2 + 0.0 * g1` is bit-exact `g2` for finite gradients.
 
 Step functions mutate parameters in place and return a `StepReport`; the
 1-based step index lives in `OptimState` and drives the schedules.
@@ -132,17 +138,44 @@ class StepReport:
     branch_loss: float | None = None
 
 
-def _descend(
+def _step(
     params: ParameterVector,
-    theta: Array,
-    direction: Array,
     state: OptimState,
-    lr_t: float,
-    momentum: float,
-) -> None:
-    # single shared update rule so every optimizer's write path is identical
-    state.velocity = momentum * state.velocity + direction
+    cfg: OptimConfig,
+    rho: float,
+    loss: float,
+    g: Array,
+    ascent: Array,
+    perturbed: Callable[[], tuple[float, Array]],
+    mix: Callable[[Array], Array],
+    **report,
+) -> StepReport:
+    """The update of the module docstring. `g` is the unperturbed gradient,
+    `perturbed()` evaluates at theta + eps, and `report` holds the
+    kind-specific StepReport fields."""
+    t = state.t + 1
+    lr_t, rho_t = cfg.schedule.at(cfg.lr, rho, t)
+    gn = float(np.linalg.norm(g))
+    an = gn if ascent is g else float(np.linalg.norm(ascent))
+    theta = params.flatten()
+    if rho_t > 0.0 and an >= GRAD_NORM_FLOOR:
+        eps = (rho_t / an) * ascent
+        params.load_flat(theta + eps)
+        loss_p, g_p = perturbed()
+        params.load_flat(theta)
+        direction = mix(g_p) + cfg.weight_decay * theta
+        eps_norm = float(np.linalg.norm(eps))
+    else:
+        eps = np.zeros_like(theta)
+        loss_p = None
+        direction = g + cfg.weight_decay * theta
+        eps_norm = 0.0
+    state.velocity = cfg.momentum * state.velocity + direction
     params.load_flat(theta - lr_t * state.velocity)
+    state.last_eps = eps
+    state.t = t
+    return StepReport(t=t, loss=loss, grad_norm=gn, eps_norm=eps_norm, lr=lr_t, rho=rho_t,
+                      loss_perturbed=loss_p, **report)
 
 
 def sgd_step(
@@ -151,19 +184,9 @@ def sgd_step(
     state: OptimState,
     cfg: OptimConfig,
 ) -> StepReport:
-    """Momentum SGD on an arbitrary (loss, grad) closure."""
-    t = state.t + 1
-    lr_t, _ = cfg.schedule.at(cfg.lr, cfg.rho, t)
+    """Momentum SGD on an arbitrary (loss, grad) closure: the update with rho = 0."""
     loss, g = value_and_grad()
-    theta = params.flatten()
-    direction = g + cfg.weight_decay * theta
-    _descend(params, theta, direction, state, lr_t, cfg.momentum)
-    state.last_eps = np.zeros_like(theta)
-    state.t = t
-    return StepReport(
-        t=t, loss=loss, grad_norm=float(np.linalg.norm(g)),
-        eps_norm=0.0, lr=lr_t, rho=0.0,
-    )
+    return _step(params, state, cfg, 0.0, loss, g, g, value_and_grad, lambda g_p: g_p)
 
 
 def sam_step(
@@ -179,30 +202,8 @@ def sam_step(
     called once at theta and (when the perturbation is non-degenerate) once at
     theta + eps; parameters are restored exactly before the update.
     """
-    t = state.t + 1
-    lr_t, rho_t = cfg.schedule.at(cfg.lr, cfg.rho, t)
     loss, g = value_and_grad()
-    gn = float(np.linalg.norm(g))
-    theta = params.flatten()
-    if rho_t > 0.0 and gn >= GRAD_NORM_FLOOR:
-        eps = (rho_t / gn) * g
-        params.load_flat(theta + eps)
-        loss_p, g_p = value_and_grad()
-        params.load_flat(theta)
-        direction = g_p + cfg.weight_decay * theta
-        eps_norm = float(np.linalg.norm(eps))
-    else:
-        eps = np.zeros_like(theta)
-        loss_p = None
-        direction = g + cfg.weight_decay * theta
-        eps_norm = 0.0
-    _descend(params, theta, direction, state, lr_t, cfg.momentum)
-    state.last_eps = eps
-    state.t = t
-    return StepReport(
-        t=t, loss=loss, grad_norm=gn, eps_norm=eps_norm, lr=lr_t, rho=rho_t,
-        loss_perturbed=loss_p,
-    )
+    return _step(params, state, cfg, cfg.rho, loss, g, g, value_and_grad, lambda g_p: g_p)
 
 
 def _current_weights(
@@ -211,11 +212,11 @@ def _current_weights(
     labels: Array,
     state: OptimState,
     cfg: OptimConfig,
-    t: int,
     full_loss: float | None,
 ) -> tuple[Array, int, bool]:
-    """Cached-or-fresh modality weights according to `shapley_every`."""
-    recompute = state.last_nu is None or (t - 1) % cfg.shapley_every == 0
+    """Cached-or-fresh modality weights according to `shapley_every`; the
+    step about to be taken is number state.t + 1."""
+    recompute = state.last_nu is None or state.t % cfg.shapley_every == 0
     if recompute:
         att = attribute_batch(
             model, xs, labels,
@@ -250,32 +251,14 @@ def msam_step(
     coalitions, each counted as a masked forward (the loss target reuses the
     first pass for the full coalition; the accuracy target assembles 2**M).
     """
-    t = state.t + 1
-    lr_t, rho_t = cfg.schedule.at(cfg.lr, cfg.rho, t)
     loss, g = model.loss_value_and_grad(xs, labels)
-    nu, dom, recomputed = _current_weights(model, xs, labels, state, cfg, t, loss)
+    nu, dom, recomputed = _current_weights(model, xs, labels, state, cfg, loss)
     nu_d = float(nu[dom])
-    gn = float(np.linalg.norm(g))
-    theta = model.params.flatten()
-    if rho_t > 0.0 and gn >= GRAD_NORM_FLOOR:
-        eps = (rho_t / gn) * g
-        model.params.load_flat(theta + eps)
-        loss_p, g_p = model.loss_value_and_grad(xs, labels)
-        model.params.load_flat(theta)
-        direction = nu_d * g_p + (1.0 - nu_d) * g + cfg.weight_decay * theta
-        eps_norm = float(np.linalg.norm(eps))
-    else:
-        eps = np.zeros_like(theta)
-        loss_p = None
-        direction = g + cfg.weight_decay * theta
-        eps_norm = 0.0
-    _descend(model.params, theta, direction, state, lr_t, cfg.momentum)
-    state.last_eps = eps
-    state.t = t
-    return StepReport(
-        t=t, loss=loss, grad_norm=gn, eps_norm=eps_norm, lr=lr_t, rho=rho_t,
-        loss_perturbed=loss_p, nu=np.array(nu), dominant=dom,
-        shapley_recomputed=recomputed,
+    return _step(
+        model.params, state, cfg, cfg.rho, loss, g, g,
+        lambda: model.loss_value_and_grad(xs, labels),
+        lambda g_p: nu_d * g_p + (1.0 - nu_d) * g,
+        nu=np.array(nu), dominant=dom, shapley_recomputed=recomputed,
     )
 
 
@@ -298,35 +281,16 @@ def msam_branch_step(
     """
     if model.fusion.mode != "late":
         raise UsageError("per-branch steps need a late-fusion model")
-    t = state.t + 1
-    lr_t, rho_t = cfg.schedule.at(cfg.lr, cfg.rho, t)
     total_loss, _ = loss_and_accuracy(model.forward(xs).logits, np.asarray(labels))
-    nu, dom, recomputed = _current_weights(model, xs, labels, state, cfg, t, total_loss)
-    nu_d = float(nu[dom])
-    dom_term = ((dom,), nu_d)
+    nu, dom, recomputed = _current_weights(model, xs, labels, state, cfg, total_loss)
+    dom_term = ((dom,), float(nu[dom]))
     rest = tuple(((m,), float(nu[m])) for m in range(model.n_modalities) if m != dom)
     loss_d, g_d = model.terms_value_and_grad(xs, labels, (dom_term,))
     loss_s, g_s = model.terms_value_and_grad(xs, labels, rest)
-    gdn = float(np.linalg.norm(g_d))
-    theta = model.params.flatten()
-    if rho_t > 0.0 and gdn >= GRAD_NORM_FLOOR:
-        eps = (rho_t / gdn) * g_d
-        model.params.load_flat(theta + eps)
-        loss_p, g_dp = model.terms_value_and_grad(xs, labels, (dom_term,))
-        model.params.load_flat(theta)
-        direction = g_dp + g_s + cfg.weight_decay * theta
-        eps_norm = float(np.linalg.norm(eps))
-    else:
-        eps = np.zeros_like(theta)
-        loss_p = None
-        direction = g_d + g_s + cfg.weight_decay * theta
-        eps_norm = 0.0
-    _descend(model.params, theta, direction, state, lr_t, cfg.momentum)
-    state.last_eps = eps
-    state.t = t
-    return StepReport(
-        t=t, loss=total_loss, grad_norm=float(np.linalg.norm(g_d + g_s)),
-        eps_norm=eps_norm, lr=lr_t, rho=rho_t, loss_perturbed=loss_p,
+    return _step(
+        model.params, state, cfg, cfg.rho, total_loss, g_d + g_s, g_d,
+        lambda: model.terms_value_and_grad(xs, labels, (dom_term,)),
+        lambda g_dp: g_dp + g_s,
         nu=np.array(nu), dominant=dom, shapley_recomputed=recomputed,
         branch_loss=loss_d + loss_s,
     )

@@ -3,13 +3,16 @@
 Names are matched by an AST scan: an import binds a name, and the module must
 read that name somewhere (a dotted access `np.x` reads `np`). `__init__.py`
 files are skipped because their imports are re-exports, and `__future__`
-imports bind nothing.
+imports bind nothing. The package's re-exports are checked against
+`msam.__all__` instead.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import msam
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in (ROOT / "src" / "msam", ROOT / "tests") for p in d.glob("*.py")
@@ -39,3 +42,10 @@ def test_scan_flags_only_unread_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_lists_exactly_the_reexports():
+    tree = ast.parse((ROOT / "src" / "msam" / "__init__.py").read_text())
+    names = [alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(msam.__all__) == sorted(names + ["__version__"])

@@ -282,7 +282,8 @@ def test_msam_branch_single_modality_is_bitwise_sam():
     assert_array_equal(final_branch, m2.params.flatten())
 
 
-def test_msam_zero_grad_saddle_takes_one_pass():
+@pytest.mark.parametrize("kind", ["sgd", "sam", "msam", "msam_branch"])
+def test_zero_grad_saddle_skips_perturbed_pass(kind):
     model = MultimodalModel([EncoderSpec(3, (4,)), EncoderSpec(3, (4,))],
                             FusionSpec("late", width=4), classes=3, bias=False, seed=2)
     # all-zero parameters put the bias-free model at an exact saddle: every
@@ -290,10 +291,13 @@ def test_msam_zero_grad_saddle_takes_one_pass():
     model.params.load_flat(np.zeros(model.n_params))
     xs, labels = small_batch()
     state = OptimState(model.n_params)
-    rep = msam_step(model, xs, labels, state, OptimConfig(kind="msam", lr=0.1, rho=0.5))
+    rep = train_step(model, xs, labels, state, OptimConfig(kind=kind, lr=0.1, rho=0.5))
     assert rep.grad_norm == 0.0
     assert rep.loss_perturbed is None
-    assert model.counters["taped"] == 1
+    assert rep.eps_norm == 0.0
+    assert_array_equal(state.last_eps, np.zeros(model.n_params))
+    # msam_branch spends one taped pass per branch group, dominant and rest
+    assert model.counters["taped"] == (2 if kind == "msam_branch" else 1)
     assert rep.loss == pytest.approx(np.log(3.0), abs=1e-12)
 
 
