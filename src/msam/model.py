@@ -16,7 +16,11 @@ A modality's branch (its encoder and, under late fusion, its head) sees only
 its own input, so `branch_cache` runs each branch once on the input and once
 on zeros, and `forward_masked` then assembles any coalition from that cache
 by fusion alone: 2M branch passes, then 2**M assembled coalitions, where
-uncached masking costs 2**M full forwards.
+uncached masking costs 2**M full forwards. Under late fusion the cache also
+holds every coalition's logits in one (2**M, N, C) table, built by prefix
+sums in modality order (the order `_fuse` adds in), and `forward_masked`
+returns a row of it. `mean_losses` and `accuracies` score such a stack in
+one pass, each row bit for bit as `mean_loss` and `accuracy` score it alone.
 """
 
 from __future__ import annotations
@@ -90,6 +94,8 @@ class ForwardTrace:
     of its encoder layers. `hidden` holds each late-fusion head's hidden
     activation, or for early fusion the concatenated features and the stacked
     maxout pieces. `fused` is the maxout output (early) or the logits (late).
+    A late-fusion trace assembled from a `BranchCache` leaves `acts` and
+    `hidden` empty.
     """
 
     acts: list[list[Array]]
@@ -104,6 +110,8 @@ class BranchCache(NamedTuple):
 
     `sides` holds every branch run on zeros, then on the inputs, each as
     (acts, hidden, logits) in the layout of `MultimodalModel._branches`.
+    Under late fusion `table[k]` holds the logits of the coalition with
+    bitmask k (bit m set = modality m active); under early fusion it is None.
     `model`, `flat` (the parameter buffer, which `load_flat` replaces rather
     than writes) and `inputs` identify what the cache is valid for.
     """
@@ -112,6 +120,7 @@ class BranchCache(NamedTuple):
     flat: Array
     inputs: tuple[Array, ...]
     sides: tuple[Branches, Branches]
+    table: Array | None
 
 
 def _relu(z: Array) -> Array:
@@ -392,13 +401,29 @@ class MultimodalModel:
         this batch from it, bit for bit as without the cache, for as long as
         the parameters stay unchanged. Like `forward_masked`, it never raises
         on overflow.
+
+        Under late fusion it also sums every coalition's logits into the
+        table: after modality m, rows [0, 2**(m+1)) hold the coalitions of
+        modalities 0..m, each row the sum `_fuse` forms for it, in the same
+        order. That is about 2**(M+1) row additions, where summing each
+        coalition alone takes (M - 1) * 2**M.
         """
         self._check_inputs(xs)
         xs64 = [np.asarray(x, dtype=np.float64) for x in xs]
+        table = None
         with np.errstate(over="ignore", invalid="ignore"):
             sides = (self._branches([np.zeros_like(x) for x in xs64], False),
                      self._branches(xs64, False))
-        return BranchCache(self, self.params._flat, tuple(xs), sides)
+            if self.fusion.mode == "late":
+                off, on = sides[0][2], sides[1][2]
+                table = np.empty((1 << self.n_modalities,) + on[0].shape)
+                table[0], table[1] = off[0], on[0]
+                for m in range(1, self.n_modalities):
+                    half = 1 << m
+                    np.add(table[:half], on[m], out=table[half:2 * half])
+                    np.add(table[:half], off[m], out=table[:half])
+                table.flags.writeable = False  # its rows are handed out as logits
+        return BranchCache(self, self.params._flat, tuple(xs), sides, table)
 
     def forward_masked(
         self, xs: Sequence[Array], keep: Iterable[int], cache: BranchCache | None = None
@@ -407,8 +432,12 @@ class MultimodalModel:
 
         Unlike the training passes this never raises on overflow: evaluation
         of a diverged model reports inf/nan values as they are. With a
-        `cache` from `branch_cache(xs)` only the fusion runs; a cache built
-        for another model, other inputs or older parameters is a UsageError.
+        `cache` from `branch_cache(xs)` only the fusion runs, and under late
+        fusion not even that: the logits are the coalition's table row, and
+        the trace carries no `acts` or `hidden`, which no masked forward's
+        caller reads. A cache built for another model, other inputs or older
+        parameters is a UsageError. Only a call that passes every check is
+        counted.
         """
         if cache is None:
             self._check_inputs(xs)
@@ -416,20 +445,19 @@ class MultimodalModel:
             raise UsageError("branch cache was built for another model or older parameters")
         elif len(xs) != len(cache.inputs) or not all(map(operator.is_, xs, cache.inputs)):
             raise UsageError("branch cache was built from other inputs")
-        self.counters["masked_forward"] += 1
         keep = _coalition(keep, self.n_modalities)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if cache is None:
+        self.counters["masked_forward"] += 1
+        if cache is None:
+            with np.errstate(over="ignore", invalid="ignore"):
                 masked = mask_inputs([np.asarray(x, dtype=np.float64) for x in xs], keep,
                                      self.n_modalities)
                 return self._forward(masked, keep, False)
-            sides = [cache.sides[m in keep] for m in range(self.n_modalities)]
-            acts = [side[0][m] for m, side in enumerate(sides)]
-            if self.fusion.mode == "early":
-                return self._fuse(acts, None, None, keep, False)
-            hidden = [side[1][m] for m, side in enumerate(sides)]
-            logits = [side[2][m] for m, side in enumerate(sides)]
-            return self._fuse(acts, hidden, logits, keep, False)
+        if cache.table is not None:
+            logits = cache.table[sum(1 << m for m in keep)]
+            return ForwardTrace([], [], logits, logits, keep)
+        acts = [cache.sides[m in keep][0][m] for m in range(self.n_modalities)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._fuse(acts, None, None, keep, False)
 
     def forward(self, xs: Sequence[Array]) -> ForwardTrace:
         """Plain forward with every modality active."""
@@ -465,6 +493,64 @@ def mean_loss(logits: Array, labels: Array) -> float:
 def accuracy(logits: Array, labels: Array) -> float:
     """Top-1 accuracy of logits whose labels passed `check_labels`."""
     return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+def _sum_last(x: Array) -> Array:
+    """Sums over the last axis of `x`, each added in numpy's order for a 1-D
+    `.sum()`. Up to 7 terms add one by one; up to 128 go into 8 strided
+    accumulators, which combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    before the remainder adds; longer runs split at half the length, rounded
+    down to a multiple of 8. numpy also starts from 0.0, which changes only a
+    sum of -0.0 terms (see `mean_losses`)."""
+    n = x.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_last(x[..., :half]) + _sum_last(x[..., half:])
+    blocked = n - n % 8 if n >= 8 else 0
+    if blocked:
+        r = x[..., :8].copy()
+        for i in range(8, blocked, 8):
+            r += x[..., i:i + 8]
+        r = r[..., 0::2] + r[..., 1::2]
+        r = r[..., 0::2] + r[..., 1::2]
+        total = r[..., 0] + r[..., 1]
+    else:
+        total = x[..., 0].copy()
+        blocked = 1
+    for i in range(blocked, n):
+        total += x[..., i]
+    return total
+
+
+def mean_losses(logits: Array, labels: Array) -> Array:
+    """`mean_loss` of each (N, C) slice of a (K, N, C) stack, in one pass.
+
+    Every step is `_log_softmax`'s, row for row: the row max by successive
+    `np.maximum`, the shifted exponentials, their sum and log, then the
+    labels' mean in `.mean()`'s summation order; so each value equals
+    `mean_loss(logits[k], labels)` bit for bit, inf and nan included.
+    Neither sum can be one of only -0.0 terms: no exponential is -0.0, and a
+    log-probability is -0.0 only for a -0.0 shifted logit next to a +0.0 row
+    max, whose two exponentials of 1 give it a nonzero log row sum.
+    """
+    _, n, c = logits.shape
+    top = logits[..., 0].copy()
+    for j in range(1, c):
+        np.maximum(top, logits[..., j], out=top)
+    ez = logits - top[..., None]
+    picked = ez[:, np.arange(n), labels]
+    np.exp(ez, out=ez)
+    lse = _sum_last(ez)
+    np.log(lse, out=lse)
+    picked -= lse
+    total = _sum_last(picked)
+    total /= n
+    return np.negative(total, out=total)
+
+
+def accuracies(logits: Array, labels: Array) -> Array:
+    """`accuracy` of each (N, C) slice of a (K, N, C) stack, bit for bit."""
+    return (np.argmax(logits, axis=2) == labels).sum(axis=1) / logits.shape[1]
 
 
 def loss_and_accuracy(logits: Array, labels: Array) -> tuple[float, float]:

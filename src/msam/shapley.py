@@ -7,17 +7,23 @@ contributions over all coalitions S not containing m:
 
 Every coalition value is computed exactly once and memoized. For a model,
 `attribute_batch` first caches each modality's branch on its input and on
-zeros, so one attribution costs 2M branch passes, then 2**M assembled
-coalitions (one fewer when the caller seeds the full coalition's loss), each
-only a fusion and a score. Two variants exist: "standard" sums over all S
-including the empty coalition (the classic definition, for which the
-efficiency axiom sum(phi) = v(full) - v(empty) holds exactly), and "paper"
-drops the empty coalition from the sum, kept for comparison because some
-derivations write the formula that way.
+zeros, so one attribution costs 2M branch passes, then 2**M counted
+coalitions (one fewer when the caller seeds the full coalition's loss). Under
+late fusion the cache already holds every coalition's logits in one table;
+under early fusion each coalition runs the maxout head once. Either way the
+coalitions are scored in one stacked pass (`model.mean_losses` or
+`model.accuracies`), and phi is one vectorized sum over a plan of weights and
+mask indices cached per (M, variant): each player's terms add in ascending
+mask order, as a plain loop over masks adds them. Two variants exist:
+"standard" sums over all S including the empty coalition (the classic
+definition, for which the efficiency axiom sum(phi) = v(full) - v(empty)
+holds exactly), and "paper" drops the empty coalition from the sum, kept for
+comparison because some derivations write the formula that way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -25,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericError, UsageError
-from .model import MultimodalModel, accuracy, check_labels, mean_loss
+from .model import MultimodalModel, accuracies, check_labels, mean_losses
 
 Array = np.ndarray
 
@@ -53,6 +59,53 @@ class ShapleyAttribution:
     coalition_values: dict[int, float] = field(default_factory=dict)
 
 
+def _check_players(n_players: int, variant: str) -> None:
+    if variant not in VARIANTS:
+        raise UsageError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if not 1 <= n_players <= MAX_PLAYERS:
+        raise UsageError(f"n_players must be in [1, {MAX_PLAYERS}], got {n_players}")
+
+
+@functools.cache
+def _plan(n_players: int, variant: str) -> tuple[Array, Array, Array]:
+    """Every Shapley term of one (M, variant), for `_phi`: player m's terms
+    are weight[m, t] * (v[hi[m, t]] - v[lo[m, t]]), t in ascending mask
+    order after a leading term v[0] - v[0] = 0.0 that starts each sum."""
+    fact = [math.factorial(k) for k in range(n_players + 1)]
+    weight = [fact[s] * fact[n_players - s - 1] / fact[n_players] for s in range(n_players)]
+    masks = np.arange(1 if variant == "paper" else 0, 1 << n_players)
+    lo = np.stack([masks[(masks >> m) & 1 == 0] for m in range(n_players)])
+    hi = lo | (1 << np.arange(n_players))[:, None]
+    w = np.array(weight)[np.bitwise_count(lo)]
+    first = ((0, 0), (1, 0))
+    return np.pad(w, first, constant_values=1.0), np.pad(lo, first), np.pad(hi, first)
+
+
+@functools.cache
+def _coalitions(n_players: int) -> tuple[tuple[int, ...], ...]:
+    """The members of every coalition, indexed by bitmask."""
+    return tuple(tuple(m for m in range(n_players) if mask >> m & 1)
+                 for mask in range(1 << n_players))
+
+
+def _phi(values: Array, variant: str) -> Array:
+    """Shapley values from the value of every coalition, indexed by bitmask.
+
+    Each player's terms add one by one from 0.0 in ascending mask order
+    (`np.add.accumulate` never reorders), so phi is bit for bit the sum that
+    a loop over masks forms.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        mask = int(np.argmin(finite))
+        raise NumericError(f"coalition {mask:#x} has non-finite value {float(values[mask])}")
+    weight, lo, hi = _plan(values.size.bit_length() - 1, variant)
+    terms = values[hi]
+    terms -= values[lo]
+    terms *= weight
+    return np.add.accumulate(terms, axis=1)[:, -1].copy()
+
+
 def shapley_exact(
     value_fn: Callable[[frozenset[int]], float],
     n_players: int,
@@ -63,31 +116,16 @@ def shapley_exact(
     """Exact Shapley values of `value_fn`; returns (phi, coalition table).
 
     `values` may pre-seed coalition evaluations (bitmask -> value); anything
-    missing is computed via `value_fn(frozenset(members))`.
+    missing is computed via `value_fn(frozenset(members))`. A non-finite
+    value is a NumericError naming the lowest such coalition.
     """
-    if variant not in VARIANTS:
-        raise UsageError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if not 1 <= n_players <= MAX_PLAYERS:
-        raise UsageError(f"n_players must be in [1, {MAX_PLAYERS}], got {n_players}")
+    _check_players(n_players, variant)
     table = dict(values) if values else {}
-    for mask in range(1 << n_players):
+    for mask, members in enumerate(_coalitions(n_players)):
         if mask not in table:
-            members = frozenset(m for m in range(n_players) if mask >> m & 1)
-            table[mask] = float(value_fn(members))
-        if not math.isfinite(table[mask]):
-            raise NumericError(f"coalition {mask:#x} has non-finite value {table[mask]}")
-    fact = [math.factorial(k) for k in range(n_players + 1)]
-    weight = [fact[s] * fact[n_players - s - 1] / fact[n_players] for s in range(n_players)]
-    phi = np.zeros(n_players, dtype=np.float64)
-    for m in range(n_players):
-        bit = 1 << m
-        for mask in range(1 << n_players):
-            if mask & bit:
-                continue
-            if variant == "paper" and mask == 0:
-                continue
-            phi[m] += weight[mask.bit_count()] * (table[mask | bit] - table[mask])
-    return phi, table
+            table[mask] = float(value_fn(frozenset(members)))
+    vector = np.array([table[mask] for mask in range(1 << n_players)], dtype=np.float64)
+    return _phi(vector, variant), table
 
 
 def normalize_weights(phi: Array) -> tuple[Array, bool]:
@@ -133,34 +171,41 @@ def attribute_batch(
     `target="loss"` (negated so that more helpful modalities score higher),
     or masked accuracy for `target="accuracy"`. Every coalition is assembled
     from one `model.branch_cache` of the batch, by one counted
-    `model.forward_masked` call each. `full_loss`, when the caller already
-    knows the full-coalition loss, seeds the table and saves one of them.
+    `model.forward_masked` call each, and all of them are scored in one
+    stacked pass. `full_loss`, when the caller already knows the
+    full-coalition loss, seeds the table and saves one of them.
     """
     if target not in TARGETS:
         raise UsageError(f"target must be one of {TARGETS}, got {target!r}")
     n = model.n_modalities
+    _check_players(n, variant)
     cache = model.branch_cache(xs)
     labels = np.asarray(labels)
     check_labels(labels, len(xs[0]), model.classes)
-
-    def value_fn(keep: frozenset[int]) -> float:
-        logits = model.forward_masked(xs, keep, cache=cache).logits
-        return -mean_loss(logits, labels) if target == "loss" else accuracy(logits, labels)
-
-    seed = None
-    if full_loss is not None and target == "loss":
-        seed = {(1 << n) - 1: -float(full_loss)}
-    # non-finite coalition values are shapley_exact's NumericError, not warnings
+    seeded = full_loss is not None and target == "loss"
+    count = (1 << n) - seeded
+    # one counted assembly per coalition; under late fusion each is a table row
+    logits = [model.forward_masked(xs, members, cache=cache).logits
+              for members in _coalitions(n)[:count]]
+    stack = cache.table[:count] if cache.table is not None else np.stack(logits)
+    values = np.empty(1 << n)
+    # non-finite coalition values are _phi's NumericError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, table = shapley_exact(value_fn, n, variant=variant, values=seed)
+        if target == "loss":
+            np.negative(mean_losses(stack, labels), out=values[:count])
+        else:
+            values[:count] = accuracies(stack, labels)
+        if seeded:
+            values[-1] = -float(full_loss)
+        phi = _phi(values, variant)
     nu, degenerate = normalize_weights(phi)
     return ShapleyAttribution(
         phi=phi,
         nu=nu,
         dominant=dominant_modality(nu),
-        baseline=table[0],
+        baseline=float(values[0]),
         degenerate=degenerate,
         variant=variant,
         target=target,
-        coalition_values=table,
+        coalition_values=dict(enumerate(values.tolist())),
     )

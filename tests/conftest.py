@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from msam import harness
+
+# Every property test draws the same examples on every run, keeps no example
+# database and has no deadline, so a slow, shared machine cannot flake it.
+settings.register_profile("msam", derandomize=True, database=None, deadline=None)
+settings.load_profile("msam")
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,9 @@
 `resolve_config` gets arbitrary JSON trees built around the real config keys,
 and `load_dataset` arbitrary bytes around a valid file. Either call may only
 succeed or raise ConfigError/UsageError, and every config that resolves keeps
-its hash through `canonical()` and a JSON round trip. The runs are
-derandomized, so the suite sees the same examples every time.
+its hash through `canonical()` and a JSON round trip. The runs use the
+suite's hypothesis profile (`conftest.py`): derandomized, so the suite sees
+the same examples every time.
 """
 
 import json
@@ -16,7 +17,7 @@ from msam import harness
 from msam.data import MAGIC, SyntheticSpec, generate, load_dataset, save_dataset
 from msam.errors import ConfigError, UsageError
 
-FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+FUZZ = settings(max_examples=200)
 
 DEFAULTS = {path: default for path, _kind, default, _check in harness._SCHEMA}
 PATHS = list(DEFAULTS)

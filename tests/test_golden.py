@@ -1,10 +1,10 @@
 """Golden artifacts: the exact bytes of `metrics.csv` and `steps.csv`.
 
 Every preset runs for a few epochs at seed 0, plus the optimizer kinds and
-model options the presets leave out, and msam runs with three and four
-modalities, whose Shapley coalition tables the presets' two cannot reach. Loss and gradient bytes are pinned too,
-for shapes the presets lack (three maxout pieces, three modalities, several
-weighted terms), where the order in which contributions are summed shows in
+model options the presets leave out, and msam runs with three, four and
+eight modalities, whose Shapley coalition tables the presets' two cannot
+reach. Loss and gradient bytes are pinned too, for shapes the presets lack
+(three maxout pieces, three modalities, several weighted terms), where the order in which contributions are summed shows in
 the last bits. The pinned sha256 values were computed once and must never be
 edited: a refactor of the model, the optimizers or the harness is
 behaviour-preserving only if these bytes stay identical.
@@ -18,6 +18,9 @@ import pytest
 from msam import harness
 from msam.model import EncoderSpec, FusionSpec, MultimodalModel
 from msam.tensor import Rng, derive_seed
+
+M8_SHORT_DATA = {"dims": [4] * 8, "snr": [2.0, 1.5, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3],
+                 "n_train": 250, "n_val": 64, "n_test": 128}
 
 CASES = {
     "default": ("default", 4, {}),
@@ -36,6 +39,11 @@ CASES = {
     "overfit-m4-identity-tanh-nobias": ("overfit", 4, {
         "data": {"dims": [8, 6, 4, 3], "snr": [2.0, 1.0, 0.5, 0.25]},
         "model": {"hidden": [[16], [], [8], [6]], "activation": "tanh", "bias": False}}),
+    # eight late-fusion modalities with a short last batch (250 = 7 * 32 + 26 rows)
+    "overfit-m8-late-short-batch": ("overfit", 3, {"data": M8_SHORT_DATA}),
+    "overfit-m8-late-short-batch-accuracy-paper": ("overfit", 3, {
+        "data": M8_SHORT_DATA,
+        "optimizer": {"shapley_target": "accuracy", "shapley_variant": "paper"}}),
 }
 
 GOLDEN = {
@@ -53,6 +61,12 @@ GOLDEN = {
     "overfit-m4-identity-tanh-nobias": {
         "metrics.csv": "7b8f3686f71cacbe2c21aacd2d9efee3fdfaffd7e656b9be2dfdebe3fbafa7f5",
         "steps.csv": "e07af4027fa1797c22fd1b5c974691943d8fed5bc1f0673eb0e1811b45cf1981"},
+    "overfit-m8-late-short-batch": {
+        "metrics.csv": "7e585486c715ed89bc49571287c151b6167b45441a4589828487cd4e7a378847",
+        "steps.csv": "db4f9e4113c8cc5643c6009bdcdad1d2a58b6ea71d21be245d9893afcf2596d5"},
+    "overfit-m8-late-short-batch-accuracy-paper": {
+        "metrics.csv": "e2a104876647661fa4102d999ea56ec3d4c2ffddf91e34a8ae45103143561de2",
+        "steps.csv": "0460fa09bfe3231578a909532cdfd91fbdbfdbe92100e2f86920f713fff14e25"},
     "overfit-msam_branch": {"metrics.csv": "84c1b9962dae740c544c6d90fb71d30e1f21ae8c2f4389664a765cfd6bbab4e6",
         "steps.csv": "644e30d9239e7a59e4fe8d878ccfd0f033b0c4681ab3e4e460a224f30f77641a"},
     "overfit-sam": {"metrics.csv": "27b1baa779ab4fad8acfbc03b582cb7ae1797fd6c90d5d1ac917e5d60bc8ad0e",

@@ -56,6 +56,17 @@ def test_mono_modal_accuracy_matches_masked_forward():
         mono_modal_accuracy(model, xs, labels, 2)
 
 
+def test_rejected_coalition_is_not_counted():
+    model = MultimodalModel([EncoderSpec(3, (4,)), EncoderSpec(2, (4,))],
+                            FusionSpec("late", width=4), classes=3, seed=1)
+    xs = [Rng(40).normal((10, 3)), Rng(41).normal((10, 2))]
+    labels = Rng(42).integers(3, 10)
+    before = dict(model.counters)
+    with pytest.raises(UsageError):
+        mono_modal_accuracy(model, xs, labels, 2)
+    assert model.counters == before
+
+
 # ------------------------------------------------------------------- landscape
 
 

@@ -1,16 +1,20 @@
 """Multimodal model tests.
 
 Coalition masking is checked against hand-built numpy forward passes, and the
-training loss is checked against the plain evaluation of the same batch.
+training loss is checked against the plain evaluation of the same batch. The
+stacked coalition scorers are checked bit for bit against the single-batch
+ones on drawn stacks: they copy numpy's summation order, so a numpy release
+that changes that order fails here before it moves a golden hash.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from msam.errors import ConfigError, DimensionError, UsageError
-from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, evaluate,
-                        loss_and_accuracy, mask_inputs)
+from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, accuracies, accuracy,
+                        evaluate, loss_and_accuracy, mask_inputs, mean_loss, mean_losses)
 from msam.tensor import Rng
 
 
@@ -295,3 +299,41 @@ def test_pass_counters():
     m.terms_value_and_grad(xs, labels, [])
     m.terms_value_and_grad(xs, labels, [((0,), None)])
     assert m.counters == {"taped": 2, "masked_forward": 2}
+
+
+# ------------------------------------------------------------ stacked scores
+
+# row counts around numpy's pairwise-summation boundaries: 8 accumulators,
+# 128-term blocks, and splits at half the length rounded down to 8
+EDGE_ROWS = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 130, 135, 136, 255, 256, 257, 1023,
+             1024, 1025, 2047, 2048]
+SPECIAL = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1e308, 745.0, -745.0]
+
+
+@st.composite
+def logit_stacks(draw):
+    """A (K, N, C) stack of logits and N labels: scaled normals, sometimes
+    rounded into ties, with a few entries set to infinities, nan, signed
+    zeros or values whose exponentials overflow or underflow."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.sampled_from(EDGE_ROWS) | st.integers(1, 2048))
+    c = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(k, n, c)) * draw(st.sampled_from([1e-3, 1.0, 40.0, 1e4, 1e300]))
+    if draw(st.booleans()):
+        z = np.round(z)
+    flat = z.reshape(-1)
+    for value in draw(st.lists(st.sampled_from(SPECIAL), max_size=6)):
+        flat[rng.integers(flat.size)] = value
+    return z, rng.integers(0, c, n)
+
+
+@settings(max_examples=300)
+@given(logit_stacks())
+def test_stacked_scores_equal_single_scores_bitwise(case):
+    z, labels = case
+    with np.errstate(all="ignore"):
+        losses, accs = mean_losses(z, labels), accuracies(z, labels)
+        for k, row in enumerate(z):
+            assert float(losses[k]).hex() == mean_loss(row, labels).hex()
+            assert float(accs[k]).hex() == accuracy(row, labels).hex()

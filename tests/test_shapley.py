@@ -2,7 +2,10 @@
 
 The closed-form weighted-sum implementation is checked against a brute-force
 average of marginal contributions over all player orderings, which is the
-definition itself, plus the four classic axioms on random games.
+definition itself, plus the four classic axioms on random games. Its
+vectorized sum is checked bit for bit against a plain loop over masks on
+drawn tables, and `attribute_batch` against uncached masked forwards scored
+one coalition at a time.
 """
 
 import itertools
@@ -10,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from msam.errors import DimensionError, NumericError, UsageError
@@ -37,6 +41,21 @@ def shapley_by_permutations(table, n):
             phi[m] += table[mask | (1 << m)] - table[mask]
             mask |= 1 << m
     return phi / math.factorial(n)
+
+
+def shapley_by_loop(table, n, variant="standard"):
+    """The weighted sum as a plain loop over masks, each player's terms added
+    from 0.0 in ascending mask order: the order `shapley_exact` must keep."""
+    fact = [math.factorial(k) for k in range(n + 1)]
+    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
+    phi = np.zeros(n, dtype=np.float64)
+    for m in range(n):
+        bit = 1 << m
+        for mask in range(1 << n):
+            if mask & bit or (variant == "paper" and mask == 0):
+                continue
+            phi[m] += weight[mask.bit_count()] * (table[mask | bit] - table[mask])
+    return phi
 
 
 # ------------------------------------------------------------- exact formula
@@ -111,6 +130,22 @@ def test_seeded_values_skip_evaluation():
 
     phi, _ = shapley_exact(explode, 2, values=table)
     assert_allclose(phi, shapley_by_permutations(table, 2), atol=1e-12)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 8), st.sampled_from(["standard", "paper"]), st.integers(0, 2**32 - 1),
+       st.sampled_from(["normal", "integers", "signed-zeros", "huge"]))
+def test_exact_sums_in_loop_order(n, variant, seed, kind):
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    values = {"normal": lambda: rng.normal(size=size) * 10.0 ** rng.integers(-3, 4),
+              "integers": lambda: rng.integers(-2, 3, size).astype(np.float64),
+              "signed-zeros": lambda: rng.choice([0.0, -0.0, 1.0], size, p=[0.45, 0.45, 0.1]),
+              "huge": lambda: rng.choice([-1e308, 1e308, 1.0], size)}[kind]()
+    table = dict(enumerate(values.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values overflow to inf and nan
+        phi, _ = shapley_exact(table_fn(table), n, variant=variant)
+        assert phi.tobytes() == shapley_by_loop(table, n, variant).tobytes()
 
 
 def test_exact_validation():
@@ -232,26 +267,38 @@ def test_attribute_batch_full_loss_seed_is_equivalent():
     assert_array_equal(seeded.nu, plain.nu)
 
 
+def bits(table):
+    """A coalition table's values as exact bit patterns, so -0.0 differs from 0.0."""
+    return {mask: float(v).hex() for mask, v in table.items()}
+
+
 @pytest.mark.parametrize("fusion", ["late", "early"])
-@pytest.mark.parametrize("n_modalities", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_modalities", [1, 2, 3, 5, 8])
 def test_attribute_batch_counts_calls_and_matches_uncached_coalitions(fusion, n_modalities):
     m = MultimodalModel([EncoderSpec(2, (3,)) for _ in range(n_modalities)],
                         FusionSpec(fusion, width=4, pieces=3), classes=3, seed=n_modalities)
-    xs, labels = model_batch(m)
     full = 1 << n_modalities
-    for target in ("loss", "accuracy"):
+    # batches below 8 rows, not a multiple of 8, and above numpy's 128-term
+    # pairwise block, where the row mean's summation order changes shape
+    for rows in (1, 5, 16, 130):
+        xs, labels = model_batch(m, n=rows, seed=50 + rows)
         # the reference: one uncached masked forward and `loss_and_accuracy` per coalition
-        want = {}
-        for mask in range(full):
-            logits = m.forward_masked(xs, [k for k in range(n_modalities) if mask >> k & 1]).logits
-            loss, acc = loss_and_accuracy(logits, labels)
-            want[mask] = -loss if target == "loss" else acc
+        scores = [loss_and_accuracy(m.forward_masked(
+            xs, [k for k in range(n_modalities) if mask >> k & 1]).logits, labels)
+            for mask in range(full)]
         full_loss, _ = evaluate(m, xs, labels)
-        for seed, calls in ((None, full), (full_loss, full - (target == "loss"))):
-            before = m.counters["masked_forward"]
-            att = attribute_batch(m, xs, labels, target=target, full_loss=seed)
-            assert m.counters["masked_forward"] - before == calls
-            assert att.coalition_values == want
+        for target in ("loss", "accuracy"):
+            want = {mask: -loss if target == "loss" else acc
+                    for mask, (loss, acc) in enumerate(scores)}
+            for variant in ("standard", "paper"):
+                want_phi = shapley_by_loop(want, n_modalities, variant)
+                for seed, calls in ((None, full), (full_loss, full - (target == "loss"))):
+                    before = m.counters["masked_forward"]
+                    att = attribute_batch(m, xs, labels, target=target, variant=variant,
+                                          full_loss=seed)
+                    assert m.counters["masked_forward"] - before == calls
+                    assert bits(att.coalition_values) == bits(want)
+                    assert att.phi.tobytes() == want_phi.tobytes()
 
 
 def test_attribute_batch_constant_model_is_degenerate():
