@@ -11,7 +11,7 @@ zeros, so one attribution costs 2M branch passes, then 2**M counted
 coalitions (one fewer when the caller seeds the full coalition's loss). Under
 late fusion the cache already holds every coalition's logits in one table;
 under early fusion each coalition runs the maxout head once. Either way the
-coalitions are scored in one stacked pass (`model.mean_losses` or
+coalitions are scored in one stacked pass (`model.mean_log_probs` or
 `model.accuracies`), and phi is one vectorized sum over a plan of weights and
 mask indices cached per (M, variant): each player's terms add in ascending
 mask order, as a plain loop over masks adds them. Two variants exist:
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NumericError, UsageError
-from .model import MultimodalModel, accuracies, check_labels, mean_losses
+from .model import MultimodalModel, accuracies, check_labels, mean_log_probs
 
 Array = np.ndarray
 
@@ -76,7 +76,7 @@ def _plan(n_players: int, variant: str) -> tuple[Array, Array, Array]:
     masks = np.arange(1 if variant == "paper" else 0, 1 << n_players)
     lo = np.stack([masks[(masks >> m) & 1 == 0] for m in range(n_players)])
     hi = lo | (1 << np.arange(n_players))[:, None]
-    w = np.array(weight)[np.bitwise_count(lo)]
+    w = np.array([[weight[int(mask).bit_count()] for mask in row] for row in lo])
     first = ((0, 0), (1, 0))
     return np.pad(w, first, constant_values=1.0), np.pad(lo, first), np.pad(hi, first)
 
@@ -184,17 +184,20 @@ def attribute_batch(
     check_labels(labels, len(xs[0]), model.classes)
     seeded = full_loss is not None and target == "loss"
     count = (1 << n) - seeded
-    # one counted assembly per coalition; under late fusion each is a table row
-    logits = [model.forward_masked(xs, members, cache=cache).logits
-              for members in _coalitions(n)[:count]]
-    stack = cache.table[:count] if cache.table is not None else np.stack(logits)
+    coalitions = _coalitions(n)[:count]
+    if cache.table is not None:
+        # one counted call per coalition, each returning a row of the table
+        for members in coalitions:
+            model.forward_masked(xs, members, cache=cache)
+        stack = cache.table[:count]
+    else:
+        stack = np.stack([model.forward_masked(xs, members, cache=cache).logits
+                          for members in coalitions])
     values = np.empty(1 << n)
     # non-finite coalition values are _phi's NumericError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if target == "loss":
-            np.negative(mean_losses(stack, labels), out=values[:count])
-        else:
-            values[:count] = accuracies(stack, labels)
+        score = mean_log_probs if target == "loss" else accuracies
+        values[:count] = score(stack, labels)
         if seeded:
             values[-1] = -float(full_loss)
         phi = _phi(values, variant)

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from msam.errors import ConfigError, DimensionError, UsageError
 from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, accuracies, accuracy,
-                        evaluate, loss_and_accuracy, mask_inputs, mean_loss, mean_losses)
+                        evaluate, loss_and_accuracy, mask_inputs, mean_log_probs, mean_loss)
 from msam.tensor import Rng
 
 
@@ -328,12 +328,20 @@ def logit_stacks(draw):
     return z, rng.integers(0, c, n)
 
 
+def reference_mean_loss(z, labels):
+    """Mean cross-entropy in plain log-softmax form, with numpy's own row max."""
+    zs = z - z.max(axis=1, keepdims=True)
+    logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+    return float(-logp[np.arange(len(z)), labels].mean())
+
+
 @settings(max_examples=300)
 @given(logit_stacks())
 def test_stacked_scores_equal_single_scores_bitwise(case):
     z, labels = case
     with np.errstate(all="ignore"):
-        losses, accs = mean_losses(z, labels), accuracies(z, labels)
+        logps, accs = mean_log_probs(z, labels), accuracies(z, labels)
         for k, row in enumerate(z):
-            assert float(losses[k]).hex() == mean_loss(row, labels).hex()
+            assert float(-logps[k]).hex() == mean_loss(row, labels).hex()
+            assert mean_loss(row, labels).hex() == reference_mean_loss(row, labels).hex()
             assert float(accs[k]).hex() == accuracy(row, labels).hex()

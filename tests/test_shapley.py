@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from msam import shapley
 from msam.errors import DimensionError, NumericError, UsageError
 from msam.model import EncoderSpec, FusionSpec, MultimodalModel, evaluate, loss_and_accuracy
 from msam.shapley import (ShapleyAttribution, attribute_batch, dominant_modality,
@@ -146,6 +147,17 @@ def test_exact_sums_in_loop_order(n, variant, seed, kind):
     with np.errstate(over="ignore", invalid="ignore"):  # huge values overflow to inf and nan
         phi, _ = shapley_exact(table_fn(table), n, variant=variant)
         assert phi.tobytes() == shapley_by_loop(table, n, variant).tobytes()
+
+
+def test_exact_needs_no_numpy2_bit_count(monkeypatch):
+    # the package supports numpy 1.x, which has no np.bitwise_count
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    shapley._plan.cache_clear()
+    for n in range(1, 9):
+        for variant in ("standard", "paper"):
+            table = random_game(n, seed=n)
+            phi, _ = shapley_exact(table_fn(table), n, variant=variant)
+            assert phi.tobytes() == shapley_by_loop(table, n, variant).tobytes()
 
 
 def test_exact_validation():
