@@ -34,7 +34,6 @@ from .metrics import (
 )
 from .model import (
     EncoderSpec,
-    ForwardTrace,
     FusionSpec,
     MultimodalModel,
     evaluate,
@@ -67,7 +66,7 @@ __all__ = [
     "ConfigError", "DimensionError", "MsamError", "NumericError", "UsageError",
     "Rng", "derive_seed",
     "ParameterVector", "grad_check", "GradCheckReport",
-    "EncoderSpec", "FusionSpec", "MultimodalModel", "ForwardTrace",
+    "EncoderSpec", "FusionSpec", "MultimodalModel",
     "mask_inputs", "loss_and_accuracy", "evaluate",
     "ShapleyAttribution", "shapley_exact", "normalize_weights",
     "dominant_modality", "attribute_batch",

@@ -9,6 +9,7 @@ CLI's `gradcheck` command are verified with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -113,6 +114,10 @@ def grad_check(
     """
     if not 0.0 < h <= 1e-2:
         raise UsageError(f"step size h must be in (0, 1e-2], got {h}")
+    if not 0.0 <= tol < math.inf:
+        raise UsageError(f"tol must be finite and >= 0, got {tol}")
+    if max_coords < 1:
+        raise UsageError(f"max_coords must be >= 1, got {max_coords}")
     g = np.asarray(analytic_grad, dtype=np.float64)
     if g.shape != (params.size,):
         raise DimensionError(f"analytic gradient shape {g.shape} != ({params.size},)")

@@ -31,7 +31,7 @@ from .harness import (
 )
 from .metrics import convergence_report, landscape_grid
 from .model import evaluate
-from .shapley import attribute_batch
+from .shapley import TARGETS, VARIANTS, attribute_batch
 from .tensor import Rng, derive_seed
 
 
@@ -67,8 +67,8 @@ def _build_parser() -> _Parser:
     a = sub.add_parser("shapley-audit", help="coalition table and attribution for one batch")
     a.add_argument("--checkpoint", required=True)
     a.add_argument("--batch", type=int, default=0, help="index of the train batch to audit")
-    a.add_argument("--variant", choices=("standard", "paper"), default="standard")
-    a.add_argument("--target", choices=("loss", "accuracy"), default="loss")
+    a.add_argument("--variant", choices=VARIANTS, default="standard")
+    a.add_argument("--target", choices=TARGETS, default="loss")
     a.add_argument("--out", help="output CSV path (default: <checkpoint>/shapley_audit.csv)")
     a.set_defaults(func=_cmd_audit)
 
@@ -126,8 +126,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
-    if args.radius < 0:
-        raise ConfigError(f"--radius must be >= 0, got {args.radius}")
     config, model, (train, _val, _test) = load_checkpoint(args.checkpoint)
     split = {"train": train, "val": _val, "test": _test}[args.split]
     seed = config.seed if args.seed is None else args.seed

@@ -27,6 +27,8 @@ import hashlib
 import json
 import math
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import attrgetter
@@ -591,17 +593,22 @@ def load_checkpoint(run_dir: str | Path) -> tuple[ExperimentConfig, MultimodalMo
         raise ConfigError(f"{run_dir} is not a checkpoint (need config.json and params.npz)")
     config = load_config(cfg_path)
     model = _new_model(config)
-    with np.load(npz_path) as npz:
-        names = set(npz.files)
-        if names != set(model.params.names):
-            raise ConfigError(f"{npz_path} parameter names do not match the config's model")
-        flat = np.empty(model.params.size, dtype=np.float64)
-        for name in model.params.names:
-            arr = npz[name]
-            if arr.shape != model.params.view(name).shape:
-                raise ConfigError(f"parameter {name} has shape {arr.shape}, expected "
-                                  f"{model.params.view(name).shape}")
-            flat[model.params.slice_of(name)] = np.asarray(arr, dtype=np.float64).ravel()
+    try:  # a .npy file loads as a bare array, which is no context manager: TypeError
+        with np.load(npz_path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as err:
+        raise ConfigError(f"{npz_path} is not a readable parameter file: {err}") from None
+    if set(arrays) != set(model.params.names):
+        raise ConfigError(f"{npz_path} parameter names do not match the config's model")
+    flat = np.empty(model.params.size, dtype=np.float64)
+    for name in model.params.names:
+        arr, shape = arrays[name], model.params.view(name).shape
+        if arr.shape != shape or arr.dtype != np.float64:
+            raise ConfigError(f"{npz_path}: parameter {name} is {arr.dtype} {arr.shape}, "
+                              f"expected float64 {shape}")
+        flat[model.params.slice_of(name)] = arr.ravel()
+    if not np.isfinite(flat).all():
+        raise ConfigError(f"{npz_path} holds non-finite parameter values")
     model.params.load_flat(flat)
     return config, model, generate(config.data)
 

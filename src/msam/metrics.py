@@ -9,6 +9,7 @@ any point of a run without disturbing it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,8 +63,7 @@ def relative_gain(acc_method: float, acc_baseline: float) -> float:
 def mono_modal_accuracy(model: MultimodalModel, xs: Sequence[Array], labels: Array, m: int) -> float:
     """Accuracy with only modality m active (all others zero-masked); an
     index outside [0, M) is a UsageError."""
-    trace = model.forward_masked(xs, (m,))
-    _, acc = loss_and_accuracy(trace.logits, np.asarray(labels))
+    _, acc = loss_and_accuracy(model.forward_masked(xs, (m,)), np.asarray(labels))
     return acc
 
 
@@ -112,8 +112,8 @@ def landscape_grid_flat(
     """
     if resolution < 3 or resolution % 2 == 0:
         raise UsageError(f"resolution must be an odd number >= 3, got {resolution}")
-    if radius < 0.0:
-        raise UsageError(f"radius must be >= 0, got {radius}")
+    if not 0.0 <= radius < math.inf:
+        raise UsageError(f"radius must be finite and >= 0, got {radius}")
     theta = np.asarray(theta, dtype=np.float64)
     if directions is not None:
         d1, d2 = (np.asarray(d, dtype=np.float64) for d in directions)
@@ -191,8 +191,8 @@ def sharpness_proxy_flat(
     """Mean loss increase over random unit-direction perturbations of norm rho."""
     if n_samples < 1:
         raise UsageError(f"n_samples must be >= 1, got {n_samples}")
-    if rho < 0.0:
-        raise UsageError(f"rho must be >= 0, got {rho}")
+    if not 0.0 <= rho < math.inf:
+        raise UsageError(f"rho must be finite and >= 0, got {rho}")
     theta = np.asarray(theta, dtype=np.float64)
     base = loss_fn(theta)
     total = 0.0

@@ -6,21 +6,23 @@ encoder features and applies a maxout layer (elementwise max over `pieces`
 affine maps) followed by a linear head.
 
 One layer-stack forward serves every caller. `forward_masked` runs it for
-coalition masking and evaluation and never raises on overflow; the training
-passes (`loss_value_and_grad`, `terms_value_and_grad`) run it with every
-linear layer checked finite, then apply a hand-written backward to the
-activations it returns. A coalition is always the set of modalities that stay
-active: everything else has its inputs zeroed before encoding.
+coalition masking and evaluation, returns the logits and never raises on
+overflow; the training passes (`loss_value_and_grad`,
+`terms_value_and_grad`) run it with every linear layer checked finite, then
+apply a hand-written backward to the activations it records. A coalition is
+always the set of modalities that stay active: everything else has its
+inputs zeroed before encoding.
 
 A modality's branch (its encoder and, under late fusion, its head) sees only
 its own input, so `branch_cache` runs each branch once on the input and once
-on zeros, and `forward_masked` then assembles any coalition from that cache
-by fusion alone: 2M branch passes, then 2**M assembled coalitions, where
-uncached masking costs 2**M full forwards. Under late fusion the cache also
-holds every coalition's logits in one (2**M, N, C) table, built by prefix
-sums in modality order (the order `_fuse` adds in), and `forward_masked`
-returns a row of it. `mean_log_probs` and `accuracies` score such a stack in
-one pass, each row bit for bit as `mean_loss` and `accuracy` score it alone.
+on zeros and builds from them one (2**M, N, C) table of every coalition's
+logits by fusion alone: 2M branch passes, then one 2**M-row table under
+either fusion, where uncached masking costs 2**M full forwards. Under late
+fusion the rows are prefix sums in modality order (the order `_fuse` adds
+in); under early fusion each row is `_fuse`'s maxout head on the
+coalition's cached features. A cached `forward_masked` returns a row of
+that table. `mean_log_probs` and `accuracies` score such a stack in one
+pass, each row bit for bit as `mean_loss` and `accuracy` score it alone.
 """
 
 from __future__ import annotations
@@ -89,39 +91,33 @@ class FusionSpec:
 
 @dataclass
 class ForwardTrace:
-    """Intermediate values of one forward pass, as the backward reads them.
+    """Intermediate values of one taped forward pass, as `_backward` reads them.
 
     `acts[m]` is modality m's masked input followed by the activation of each
     of its encoder layers. `hidden` holds each late-fusion head's hidden
     activation, or for early fusion the concatenated features and the stacked
     maxout pieces. `fused` is the maxout output (early) or the logits (late).
-    A late-fusion trace assembled from a `BranchCache` leaves `acts` and
-    `hidden` empty.
     """
 
     acts: list[list[Array]]
     hidden: list[Array]
     fused: Array
     logits: Array
-    keep: tuple[int, ...]
 
 
 class BranchCache(NamedTuple):
-    """One batch's branch outputs, from `MultimodalModel.branch_cache`.
+    """One batch's coalition logits, from `MultimodalModel.branch_cache`.
 
-    `sides` holds every branch run on zeros, then on the inputs, each as
-    (acts, hidden, logits) in the layout of `MultimodalModel._branches`.
-    Under late fusion `table[k]` holds the logits of the coalition with
-    bitmask k (bit m set = modality m active); under early fusion it is None.
-    `model`, `flat` (the parameter buffer, which `load_flat` replaces rather
-    than writes) and `inputs` identify what the cache is valid for.
+    `table[k]` holds the logits of the coalition with bitmask k (bit m set =
+    modality m active), read-only. `model`, `flat` (the parameter buffer,
+    which `load_flat` replaces rather than writes) and `inputs` identify what
+    the cache is valid for.
     """
 
     model: "MultimodalModel"
     flat: Array
     inputs: tuple[Array, ...]
-    sides: tuple[Branches, Branches]
-    table: Array | None
+    table: Array
 
 
 def _relu(z: Array) -> Array:
@@ -305,30 +301,29 @@ class MultimodalModel:
             logits.append(self._linear(h, f"head{m}.l1", checked))
         return acts, hidden, logits
 
-    def _forward(self, masked: list[Array], keep: tuple[int, ...], checked: bool) -> ForwardTrace:
+    def _forward(self, masked: list[Array], checked: bool) -> ForwardTrace:
         """The layer stack on already-masked inputs.
 
         With `checked`, the first linear layer whose output is not finite
         raises NumericError naming it.
         """
-        return self._fuse(*self._branches(masked, checked), keep, checked)
+        return self._fuse(*self._branches(masked, checked), checked)
 
     def _fuse(self, acts: list[list[Array]], hidden: list[Array] | None,
-              branch_logits: list[Array] | None, keep: tuple[int, ...],
-              checked: bool) -> ForwardTrace:
+              branch_logits: list[Array] | None, checked: bool) -> ForwardTrace:
         """Fusion of the branches: the late heads' logits summed in modality
         order, or the early maxout head on the concatenated features."""
         if branch_logits is not None:
             logits = None
             for out in branch_logits:
                 logits = out if logits is None else logits + out
-            return ForwardTrace(acts, hidden, logits, logits, keep)
+            return ForwardTrace(acts, hidden, logits, logits)
         joint = np.concatenate([a[-1] for a in acts], axis=1)
         pieces = np.stack(
             [self._linear(joint, f"fusion.p{j}", checked) for j in range(self.fusion.pieces)], axis=0)
         fused = pieces.max(axis=0)
         logits = self._linear(fused, "head.out", checked)
-        return ForwardTrace(acts, [joint, pieces], fused, logits, keep)
+        return ForwardTrace(acts, [joint, pieces], fused, logits)
 
     def _backward(self, trace: ForwardTrace, g: Array) -> Array:
         """Flat parameter gradient of one term, given its logit gradient `g`.
@@ -393,7 +388,7 @@ class MultimodalModel:
         loss, passes, grad = None, [], None
         with np.errstate(over="ignore", invalid="ignore"):
             for keep, weight in terms:
-                trace = self._forward(mask_inputs(xs, keep, self.n_modalities), keep, True)
+                trace = self._forward(mask_inputs(xs, keep, self.n_modalities), True)
                 w = 1.0 if weight is None else float(weight)
                 value, g = _cross_entropy(trace.logits, labels, onehot, w)
                 loss = value if loss is None else loss + value
@@ -410,50 +405,53 @@ class MultimodalModel:
         return float(loss), grad
 
     def branch_cache(self, xs: Sequence[Array]) -> BranchCache:
-        """Every modality's branch on zeros and on its input: 2M branch passes.
+        """Every coalition's logits on this batch, from 2M branch passes.
 
         A branch is the modality's encoder, followed under late fusion by its
-        head. `forward_masked` with this cache assembles any coalition of
-        this batch from it, bit for bit as without the cache, for as long as
-        the parameters stay unchanged. Like `forward_masked`, it never raises
-        on overflow.
+        head; each runs once on zeros and once on its input. `forward_masked`
+        with this cache returns any coalition's logits bit for bit as without
+        the cache, for as long as the parameters stay unchanged. Like
+        `forward_masked`, it never raises on overflow.
 
-        Under late fusion it also sums every coalition's logits into the
-        table: after modality m, rows [0, 2**(m+1)) hold the coalitions of
-        modalities 0..m, each row the sum `_fuse` forms for it, in the same
-        order. That is about 2**(M+1) row additions, where summing each
-        coalition alone takes (M - 1) * 2**M.
+        Under late fusion the table is built by prefix sums: after modality
+        m, rows [0, 2**(m+1)) hold the coalitions of modalities 0..m, each
+        row the sum `_fuse` forms for it, in the same order. That is about
+        2**(M+1) row additions, where summing each coalition alone takes
+        (M - 1) * 2**M. Under early fusion row k is `_fuse`'s maxout head on
+        coalition k's cached features.
         """
         self._check_inputs(xs)
         xs64 = [np.asarray(x, dtype=np.float64) for x in xs]
-        table = None
+        n_masks = 1 << self.n_modalities
         with np.errstate(over="ignore", invalid="ignore"):
             sides = (self._branches([np.zeros_like(x) for x in xs64], False),
                      self._branches(xs64, False))
+            table = np.empty((n_masks, len(xs64[0]), self.classes))
             if self.fusion.mode == "late":
                 off, on = sides[0][2], sides[1][2]
-                table = np.empty((1 << self.n_modalities,) + on[0].shape)
                 table[0], table[1] = off[0], on[0]
                 for m in range(1, self.n_modalities):
                     half = 1 << m
                     np.add(table[:half], on[m], out=table[half:2 * half])
                     np.add(table[:half], off[m], out=table[:half])
-                table.flags.writeable = False  # its rows are handed out as logits
-        return BranchCache(self, self.params._flat, tuple(xs), sides, table)
+            else:
+                for k in range(n_masks):
+                    acts = [sides[k >> m & 1][0][m] for m in range(self.n_modalities)]
+                    table[k] = self._fuse(acts, None, None, False).logits
+        table.flags.writeable = False  # its rows are handed out as logits
+        return BranchCache(self, self.params._flat, tuple(xs), table)
 
     def forward_masked(
         self, xs: Sequence[Array], keep: Iterable[int], cache: BranchCache | None = None
-    ) -> ForwardTrace:
-        """Plain forward with only the coalition `keep` active.
+    ) -> Array:
+        """Logits of a plain forward with only the coalition `keep` active.
 
         Unlike the training passes this never raises on overflow: evaluation
         of a diverged model reports inf/nan values as they are. With a
-        `cache` from `branch_cache(xs)` only the fusion runs, and under late
-        fusion not even that: the logits are the coalition's table row, and
-        the trace carries no `acts` or `hidden`, which no masked forward's
-        caller reads. A cache built for another model, other inputs or older
-        parameters is a UsageError. Only a call that passes every check is
-        counted.
+        `cache` from `branch_cache(xs)` nothing runs: the logits are the
+        coalition's read-only table row. A cache built for another model,
+        other inputs or older parameters is a UsageError. Only a call that
+        passes every check is counted.
         """
         if cache is None:
             self._check_inputs(xs)
@@ -463,20 +461,15 @@ class MultimodalModel:
             raise UsageError("branch cache was built from other inputs")
         keep = _coalition(keep, self.n_modalities)
         self.counters["masked_forward"] += 1
-        if cache is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                masked = mask_inputs([np.asarray(x, dtype=np.float64) for x in xs], keep,
-                                     self.n_modalities)
-                return self._forward(masked, keep, False)
-        if cache.table is not None:
-            logits = cache.table[sum(1 << m for m in keep)]
-            return ForwardTrace([], [], logits, logits, keep)
-        acts = [cache.sides[m in keep][0][m] for m in range(self.n_modalities)]
+        if cache is not None:
+            return cache.table[sum(1 << m for m in keep)]
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._fuse(acts, None, None, keep, False)
+            masked = mask_inputs([np.asarray(x, dtype=np.float64) for x in xs], keep,
+                                 self.n_modalities)
+            return self._forward(masked, False).logits
 
-    def forward(self, xs: Sequence[Array]) -> ForwardTrace:
-        """Plain forward with every modality active."""
+    def forward(self, xs: Sequence[Array]) -> Array:
+        """Logits of a plain forward with every modality active."""
         return self.forward_masked(xs, range(self.n_modalities))
 
     def loss_value_and_grad(self, xs: Sequence[Array], labels: Array) -> tuple[float, Array]:
@@ -541,5 +534,4 @@ def loss_and_accuracy(logits: Array, labels: Array) -> tuple[float, float]:
 
 def evaluate(model: MultimodalModel, xs: Sequence[Array], labels: Array) -> tuple[float, float]:
     """Plain full-coalition loss and accuracy on one batch or split."""
-    trace = model.forward(xs)
-    return loss_and_accuracy(trace.logits, np.asarray(labels))
+    return loss_and_accuracy(model.forward(xs), np.asarray(labels))

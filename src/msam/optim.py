@@ -247,9 +247,10 @@ def msam_step(
         nu_d * grad L(theta + eps) + (1 - nu_d) * grad L(theta) + wd * theta
 
     Costs two taped passes (one when the perturbation is degenerate) plus
-    the Shapley attribution: 2M branch passes, then 2**M - 1 assembled
-    coalitions, each counted as a masked forward (the loss target reuses the
-    first pass for the full coalition; the accuracy target assembles 2**M).
+    the Shapley attribution: 2M branch passes fill one 2**M-row coalition
+    table under either fusion mode, then 2**M - 1 coalitions are read from
+    it, each counted as a masked forward (the loss target reuses the first
+    pass for the full coalition; the accuracy target reads all 2**M rows).
     """
     loss, g = model.loss_value_and_grad(xs, labels)
     nu, dom, recomputed = _current_weights(model, xs, labels, state, cfg, loss)
@@ -281,7 +282,7 @@ def msam_branch_step(
     """
     if model.fusion.mode != "late":
         raise UsageError("per-branch steps need a late-fusion model")
-    total_loss, _ = loss_and_accuracy(model.forward(xs).logits, np.asarray(labels))
+    total_loss, _ = loss_and_accuracy(model.forward(xs), np.asarray(labels))
     nu, dom, recomputed = _current_weights(model, xs, labels, state, cfg, total_loss)
     dom_term = ((dom,), float(nu[dom]))
     rest = tuple(((m,), float(nu[m])) for m in range(model.n_modalities) if m != dom)

@@ -7,18 +7,18 @@ contributions over all coalitions S not containing m:
 
 Every coalition value is computed exactly once and memoized. For a model,
 `attribute_batch` first caches each modality's branch on its input and on
-zeros, so one attribution costs 2M branch passes, then 2**M counted
-coalitions (one fewer when the caller seeds the full coalition's loss). Under
-late fusion the cache already holds every coalition's logits in one table;
-under early fusion each coalition runs the maxout head once. Either way the
-coalitions are scored in one stacked pass (`model.mean_log_probs` or
-`model.accuracies`), and phi is one vectorized sum over a plan of weights and
-mask indices cached per (M, variant): each player's terms add in ascending
-mask order, as a plain loop over masks adds them. Two variants exist:
-"standard" sums over all S including the empty coalition (the classic
-definition, for which the efficiency axiom sum(phi) = v(full) - v(empty)
-holds exactly), and "paper" drops the empty coalition from the sum, kept for
-comparison because some derivations write the formula that way.
+zeros, so one attribution costs 2M branch passes, which fill one table of
+every coalition's logits under either fusion mode, then 2**M counted
+coalitions (one fewer when the caller seeds the full coalition's loss), each
+a row of that table. The rows are scored in one stacked pass
+(`model.mean_log_probs` or `model.accuracies`), and phi is one vectorized
+sum over a plan of weights and mask indices cached per (M, variant): each
+player's terms add in ascending mask order, as a plain loop over masks adds
+them. Two variants exist: "standard" sums over all S including the empty
+coalition (the classic definition, for which the efficiency axiom
+sum(phi) = v(full) - v(empty) holds exactly), and "paper" drops the empty
+coalition from the sum, kept for comparison because some derivations write
+the formula that way.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ def attribute_batch(
 
     The set function is v(S) = -(mean loss with coalition S active) for
     `target="loss"` (negated so that more helpful modalities score higher),
-    or masked accuracy for `target="accuracy"`. Every coalition is assembled
-    from one `model.branch_cache` of the batch, by one counted
+    or masked accuracy for `target="accuracy"`. Every coalition is a row of
+    one `model.branch_cache` table of the batch, read by one counted
     `model.forward_masked` call each, and all of them are scored in one
     stacked pass. `full_loss`, when the caller already knows the
     full-coalition loss, seeds the table and saves one of them.
@@ -184,15 +184,10 @@ def attribute_batch(
     check_labels(labels, len(xs[0]), model.classes)
     seeded = full_loss is not None and target == "loss"
     count = (1 << n) - seeded
-    coalitions = _coalitions(n)[:count]
-    if cache.table is not None:
-        # one counted call per coalition, each returning a row of the table
-        for members in coalitions:
-            model.forward_masked(xs, members, cache=cache)
-        stack = cache.table[:count]
-    else:
-        stack = np.stack([model.forward_masked(xs, members, cache=cache).logits
-                          for members in coalitions])
+    # one counted call per coalition, each returning a row of the table
+    for members in _coalitions(n)[:count]:
+        model.forward_masked(xs, members, cache=cache)
+    stack = cache.table[:count]
     values = np.empty(1 << n)
     # non-finite coalition values are _phi's NumericError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):

@@ -169,7 +169,7 @@ def test_forward_overflow_raises_numeric_error():
     with pytest.raises(NumericError, match="head0.l0"):
         m.loss_value_and_grad(xs, labels)
     # the plain forward reports the overflow instead of raising
-    assert not np.isfinite(m.forward(xs).logits).all()
+    assert not np.isfinite(m.forward(xs)).all()
 
 
 def test_backward_overflow_raises_numeric_error():
@@ -314,5 +314,11 @@ def test_grad_check_validation():
         ad.grad_check(loss, params, g, coords=[])
     with pytest.raises(UsageError):
         ad.grad_check(loss, params, g, coords=[5])
+    for max_coords in (0, -3):
+        with pytest.raises(UsageError, match="max_coords"):
+            ad.grad_check(loss, params, g, max_coords=max_coords)
+    for tol in (np.nan, np.inf, -1.0):
+        with pytest.raises(UsageError, match="tol"):
+            ad.grad_check(loss, params, g, tol=tol)
     with pytest.raises(DimensionError):
         ad.grad_check(loss, params, np.zeros(3))

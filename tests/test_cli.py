@@ -5,6 +5,7 @@ the contract 0 = success, 1 = config/flag/path problems, 2 = numeric failure.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ def test_gradcheck_rejects_bad_h(capsys):
     assert main(["gradcheck", "--preset", "default", "--h", "0.5"]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--coords", "0"), ("--coords", "-3"), ("--tol", "nan"), ("--tol", "-1")])
+def test_gradcheck_rejects_bad_coords_and_tol(flag, value, capsys):
+    assert main(["gradcheck", "--preset", "default", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 # ------------------------------------------------------------------- landscape
 
 
@@ -155,8 +164,10 @@ def test_landscape_writes_grid(checkpoint, capsys):
     assert np.isfinite(sidecar["center_loss"])
 
 
-def test_landscape_validation(checkpoint, tmp_path):
-    assert main(["landscape", "--checkpoint", str(checkpoint), "--radius", "-1"]) == 1
+def test_landscape_validation(checkpoint, tmp_path, capsys):
+    for radius in ("-1", "nan", "inf"):
+        assert main(["landscape", "--checkpoint", str(checkpoint), "--radius", radius]) == 1
+        assert "error: radius must be finite and >= 0" in capsys.readouterr().err
     assert main(["landscape", "--checkpoint", str(tmp_path / "empty")]) == 1
     assert main(["landscape", "--checkpoint", str(checkpoint), "--res", "4"]) == 1
 
@@ -187,6 +198,46 @@ def test_audit_paper_variant_differs_and_breaks_efficiency(checkpoint, tmp_path,
 def test_audit_batch_out_of_range(checkpoint, capsys):
     assert main(["shapley-audit", "--checkpoint", str(checkpoint), "--batch", "99"]) == 1
     assert "--batch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [
+    "directory", "empty", "garbage", "npy", "object", "text", "nan", "truncated", "compressed"])
+def test_audit_rejects_a_damaged_params_file(checkpoint, tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    shutil.copytree(checkpoint, run)
+    npz = run / "params.npz"
+    with np.load(npz) as f:
+        arrays = dict(f)
+    first = next(iter(arrays))
+    if damage == "directory":
+        npz.unlink()
+        npz.mkdir()
+    elif damage == "empty":
+        npz.write_bytes(b"")
+    elif damage == "garbage":
+        npz.write_bytes(b"not a parameter file")
+    elif damage == "npy":
+        with open(npz, "wb") as fh:
+            np.save(fh, arrays[first])
+    elif damage == "object":
+        arrays[first] = arrays[first].astype(object)
+        np.savez(npz, **arrays)
+    elif damage == "text":
+        arrays[first] = arrays[first].astype(str)
+        np.savez(npz, **arrays)
+    elif damage == "nan":
+        arrays[first].flat[0] = np.nan
+        np.savez(npz, **arrays)
+    elif damage == "truncated":
+        npz.write_bytes(npz.read_bytes()[:100])
+    else:  # flip bytes inside the first member's deflated data
+        np.savez_compressed(npz, **arrays)
+        raw = bytearray(npz.read_bytes())
+        raw[80:120] = bytes(b ^ 0x5A for b in raw[80:120])
+        npz.write_bytes(bytes(raw))
+    assert main(["shapley-audit", "--checkpoint", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(npz) in err and "Traceback" not in err
 
 
 # ----------------------------------------------------------------- convergence

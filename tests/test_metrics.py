@@ -50,7 +50,7 @@ def test_mono_modal_accuracy_matches_masked_forward():
     xs = [Rng(40).normal((10, 3)), Rng(41).normal((10, 2))]
     labels = Rng(42).integers(3, 10)
     for m in range(2):
-        _, want = loss_and_accuracy(model.forward_masked(xs, (m,)).logits, labels)
+        _, want = loss_and_accuracy(model.forward_masked(xs, (m,)), labels)
         assert mono_modal_accuracy(model, xs, labels, m) == want
     with pytest.raises(UsageError):
         mono_modal_accuracy(model, xs, labels, 2)
@@ -126,8 +126,9 @@ def test_landscape_validation():
         landscape_grid_flat(fn, theta, [], 4, 0.1, Rng(0))
     with pytest.raises(UsageError):
         landscape_grid_flat(fn, theta, [], 1, 0.1, Rng(0))
-    with pytest.raises(UsageError):
-        landscape_grid_flat(fn, theta, [], 3, -0.1, Rng(0))
+    for radius in (-0.1, np.nan, np.inf):
+        with pytest.raises(UsageError, match="radius"):
+            landscape_grid_flat(fn, theta, [], 3, radius, Rng(0))
     with pytest.raises(UsageError):
         landscape_grid_flat(fn, theta, [], 3, 0.1, Rng(0), directions=(np.ones(3), np.ones(4)))
 
@@ -184,8 +185,9 @@ def test_sharpness_validation():
     fn = quad_loss(np.zeros(3))
     with pytest.raises(UsageError):
         sharpness_proxy_flat(fn, np.zeros(3), 0.1, 0, Rng(0))
-    with pytest.raises(UsageError):
-        sharpness_proxy_flat(fn, np.zeros(3), -0.1, 5, Rng(0))
+    for rho in (-0.1, np.nan, np.inf):
+        with pytest.raises(UsageError, match="rho"):
+            sharpness_proxy_flat(fn, np.zeros(3), rho, 5, Rng(0))
 
 
 def test_sharpness_proxy_restores_model_params():

@@ -329,7 +329,7 @@ def test_msam_branch_reports_weighted_branch_loss():
     # parameters moved already, so recompute the reference on a twin
     twin = small_model(seed=13)
     want = sum(float(rep.nu[m]) * loss_and_accuracy(
-        twin.forward_masked(xs, (m,)).logits, labels)[0] for m in range(2))
+        twin.forward_masked(xs, (m,)), labels)[0] for m in range(2))
     assert_allclose(rep.branch_loss, want, atol=1e-12)
     full, _ = evaluate(twin, xs, labels)
     assert rep.loss == pytest.approx(full, abs=1e-12)

@@ -296,7 +296,7 @@ def test_attribute_batch_counts_calls_and_matches_uncached_coalitions(fusion, n_
         xs, labels = model_batch(m, n=rows, seed=50 + rows)
         # the reference: one uncached masked forward and `loss_and_accuracy` per coalition
         scores = [loss_and_accuracy(m.forward_masked(
-            xs, [k for k in range(n_modalities) if mask >> k & 1]).logits, labels)
+            xs, [k for k in range(n_modalities) if mask >> k & 1]), labels)
             for mask in range(full)]
         full_loss, _ = evaluate(m, xs, labels)
         for target in ("loss", "accuracy"):
