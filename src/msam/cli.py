@@ -153,7 +153,7 @@ def _cmd_landscape(args) -> int:
 
 
 def _pick_batch(config: ExperimentConfig, train, k: int):
-    n_batches = -(-train.n // config.batch_size)
+    n_batches = config.steps_per_epoch
     if not 0 <= k < n_batches:
         raise ConfigError(f"--batch must be in [0, {n_batches}), got {k}")
     stream = batches(train, config.batch_size, derive_seed(config.seed, 3, 0))
@@ -215,17 +215,19 @@ def _cmd_convergence(args) -> int:
     steps_path = run_dir / "steps.csv"
     if not steps_path.exists():
         raise ConfigError(f"no steps.csv under {run_dir}")
+    try:
+        reader = csv.DictReader(steps_path.read_text(encoding="utf-8").splitlines())
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{steps_path} is not UTF-8 text: {err}") from None
+    if "grad_norm" not in (reader.fieldnames or ()):
+        raise ConfigError(f"{steps_path} has no grad_norm column")
     norms = []
-    with open(steps_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if "grad_norm" not in (reader.fieldnames or ()):
-            raise ConfigError(f"{steps_path} has no grad_norm column")
-        for row in reader:
-            try:
-                norms.append(float(row["grad_norm"]))
-            except (TypeError, ValueError):  # a short row reads None
-                raise ConfigError(f"{steps_path} line {reader.line_num}: grad_norm "
-                                  f"{row['grad_norm']!r} is not a number") from None
+    for row in reader:
+        try:
+            norms.append(float(row["grad_norm"]))
+        except (TypeError, ValueError):  # a short row reads None
+            raise ConfigError(f"{steps_path} line {reader.line_num}: grad_norm "
+                              f"{row['grad_norm']!r} is not a number") from None
     rep = convergence_report(norms, calibrate_at=args.calibrate_at)
     out = run_dir / "convergence.csv"
     with open(out, "w", newline="") as fh:
@@ -258,7 +260,7 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 2
-    except MsamError as err:
+    except (MsamError, OSError) as err:  # OSError: an output path that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 1
 

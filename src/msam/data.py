@@ -45,16 +45,15 @@ class SyntheticSpec:
         object.__setattr__(self, "snr", tuple(float(s) for s in self.snr))
         if self.classes < 2:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
-        if not self.dims:
-            raise ConfigError("need at least one modality dim")
-        if any(d < 1 for d in self.dims):
-            raise ConfigError(f"dims must be >= 1, got {self.dims}")
+        if not self.dims or min(self.dims) < 1:
+            raise ConfigError(f"dims must be a non-empty list of dims >= 1, got {list(self.dims)}")
         if len(self.snr) != len(self.dims):
             raise ConfigError(f"snr has {len(self.snr)} entries for {len(self.dims)} modalities")
         if not all(0.0 <= s < np.inf for s in self.snr):
-            raise ConfigError(f"snr values must be finite and >= 0, got {self.snr}")
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise ConfigError("all split sizes must be >= 1")
+            raise ConfigError(f"snr must be finite values >= 0, got {list(self.snr)}")
+        for key in ("n_train", "n_val", "n_test"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     @property
     def modalities(self) -> int:

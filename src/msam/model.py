@@ -60,9 +60,9 @@ class EncoderSpec:
 
     def __post_init__(self):
         if self.in_dim < 1:
-            raise ConfigError(f"encoder in_dim must be >= 1, got {self.in_dim}")
+            raise ConfigError(f"in_dim must be >= 1, got {self.in_dim}")
         if any(h < 1 for h in self.hidden):
-            raise ConfigError(f"encoder hidden widths must be >= 1, got {self.hidden}")
+            raise ConfigError(f"hidden must hold widths >= 1, got {list(self.hidden)}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
@@ -81,12 +81,12 @@ class FusionSpec:
     pieces: int = 2
 
     def __post_init__(self):
-        if self.mode not in FUSIONS:
-            raise ConfigError(f"fusion mode must be 'early' or 'late', got {self.mode!r}")
+        if self.mode not in FUSIONS:  # `mode` is the config's `model.fusion`
+            raise ConfigError(f"fusion must be one of {FUSIONS}, got {self.mode!r}")
         if self.width < 1:
-            raise ConfigError(f"fusion width must be >= 1, got {self.width}")
+            raise ConfigError(f"width must be >= 1, got {self.width}")
         if self.mode == "early" and self.pieces < 2:
-            raise ConfigError(f"early fusion needs >= 2 maxout pieces, got {self.pieces}")
+            raise ConfigError(f"pieces must be >= 2 for early fusion, got {self.pieces}")
 
 
 @dataclass

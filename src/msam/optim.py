@@ -57,11 +57,11 @@ class Schedule:
 
     def __post_init__(self):
         if self.kind not in SCHEDULES:
-            raise ConfigError(f"schedule kind must be one of {SCHEDULES}, got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {SCHEDULES}, got {self.kind!r}")
         if not 0.0 < self.factor <= 1.0:
-            raise ConfigError(f"decay factor must be in (0, 1], got {self.factor}")
+            raise ConfigError(f"factor must be in (0, 1], got {self.factor}")
         if self.period < 1:
-            raise ConfigError(f"decay period must be >= 1, got {self.period}")
+            raise ConfigError(f"period must be >= 1, got {self.period}")
 
     def at(self, lr: float, rho: float, t: int) -> tuple[float, float]:
         if t < 1:
@@ -90,7 +90,7 @@ class OptimConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"optimizer kind must be one of {KINDS}, got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         # written so that NaN fails every range check
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")

@@ -264,12 +264,35 @@ def test_convergence_needs_steps_csv(tmp_path, capsys):
     ("t,grad_norm\n1,0.5\n2\n", "line 3: grad_norm None is not a number"),
     ("t,loss\n1,0.5\n", "has no grad_norm column"),
     ("", "has no grad_norm column"),
+    (b"t,grad_norm\n1,0.5\xff\n", "is not UTF-8 text"),
 ])
 def test_convergence_rejects_a_damaged_steps_csv(tmp_path, capsys, text, message):
-    (tmp_path / "steps.csv").write_text(text)
+    (tmp_path / "steps.csv").write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["convergence", "--run", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert str(tmp_path / "steps.csv") in err and message in err
+
+
+# --------------------------------------------------------------- output paths
+
+
+@pytest.mark.parametrize("command", ["export-data", "shapley-audit", "landscape", "train"])
+def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0],
+                                "n_train": 4, "n_val": 2, "n_test": 2, "seed": 0}))
+    cfg, _ = write_config(tmp_path)
+    (tmp_path / "file").write_text("")
+    argv = {
+        "export-data": ["--spec", str(spec), "--out", str(tmp_path / "missing" / "x.bin")],
+        "shapley-audit": ["--checkpoint", str(checkpoint),
+                          "--out", str(tmp_path / "missing" / "a.csv")],
+        "landscape": ["--checkpoint", str(checkpoint), "--res", "3", "--tag", "a/b"],
+        "train": ["--config", str(cfg), "--out-dir", str(tmp_path / "file" / "x")],
+    }[command]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ----------------------------------------------------------------- export-data

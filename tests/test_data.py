@@ -93,21 +93,21 @@ def test_signal_ratio_orders_modalities():
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^classes "):
         small_spec(classes=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^dims "):
         small_spec(dims=())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^dims "):
         small_spec(dims=(4, 0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^snr "):
         small_spec(snr=(1.0,))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^snr "):
         small_spec(snr=(1.0, -0.5))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^snr "):
         small_spec(snr=(1.0, float("nan")))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^snr "):
         small_spec(snr=(float("inf"), 1.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^n_val "):
         small_spec(n_val=0)
 
 

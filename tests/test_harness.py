@@ -133,10 +133,28 @@ def test_resolve_scalar_validation():
     ({"optimizer": {"shapley_every": 0}}, "optimizer.shapley_every"),
     ({"optimizer": {"shapley_target": "f1"}}, "optimizer.shapley_target"),
     ({"optimizer": {"shapley_variant": "x"}}, "optimizer.shapley_variant"),
+    ({"data": {"dims": [6, 6, 6]}}, "data.snr has 2 entries for 3 modalities$"),
+    ({"optimizer": {"schedule": {"period": -1, "period_unit": "epochs"}}},
+     "optimizer.schedule.period must be >= 1, got -1$"),
+    ({"model": {"fusion": "early"}, "optimizer": {"kind": "msam_branch"}}, "optimizer.kind"),
+    ({"model": {"fusion": "early"}, "comparison": ["sgd", "msam_branch"]}, "comparison"),
 ])
 def test_resolve_rejects_wrong_types_naming_the_path(raw, path):
     with pytest.raises(ConfigError, match=f"^{path}"):
         resolve_config(raw)
+
+
+def test_readme_error_examples_match_resolve_config():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    for raw, message in [
+        ({"model": {"hidden": ["x"]}}, "model.hidden[0] must be an integer, got 'x'"),
+        ({"optimizer": {"schedule": {"period": 0}}}, "optimizer.schedule.period must be >= 1, got 0"),
+        ({"model": {"fusion": "x"}}, "model.fusion must be one of ('early', 'late'), got 'x'"),
+    ]:
+        assert f"`{message}`" in text
+        with pytest.raises(ConfigError) as err:
+            resolve_config(raw)
+        assert str(err.value) == message
 
 
 def test_readme_defaults_match_schema():

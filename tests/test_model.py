@@ -79,17 +79,17 @@ def test_config_validation():
         MultimodalModel([], FusionSpec("late"), classes=2)
     with pytest.raises(ConfigError):
         MultimodalModel([EncoderSpec(3)], FusionSpec("late"), classes=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^in_dim "):
         EncoderSpec(0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^hidden "):
         EncoderSpec(3, (0,))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^activation "):
         EncoderSpec(3, activation="gelu")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^fusion "):
         FusionSpec("middle")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^width "):
         FusionSpec("late", width=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^pieces "):
         FusionSpec("early", pieces=1)
 
 

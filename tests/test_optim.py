@@ -71,35 +71,35 @@ def test_schedule_step_decay_holds_rho():
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^kind "):
         Schedule(kind="cosine")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^factor "):
         Schedule(factor=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^factor "):
         Schedule(factor=1.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^period "):
         Schedule(period=0)
     with pytest.raises(UsageError):
         Schedule().at(0.1, 0.1, 0)
 
 
 def test_optim_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^kind "):
         OptimConfig(kind="adam")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^lr "):
         OptimConfig(lr=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^momentum "):
         OptimConfig(momentum=1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^weight_decay "):
         OptimConfig(weight_decay=-0.1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^rho "):
         OptimConfig(rho=-0.05)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^shapley_every "):
         OptimConfig(shapley_every=0)
     for bad in ({"lr": float("nan")}, {"lr": float("inf")}, {"rho": float("nan")},
                 {"weight_decay": float("inf")}, {"shapley_target": "margin"},
                 {"shapley_variant": "banzhaf"}):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} "):
             OptimConfig(**bad)
 
 
