@@ -260,7 +260,7 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 2
-    except (MsamError, OSError) as err:  # OSError: an output path that cannot be written
+    except (MsamError, OSError) as err:  # OSError: a path that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -150,6 +150,7 @@ def test_readme_error_examples_match_resolve_config():
         ({"model": {"hidden": ["x"]}}, "model.hidden[0] must be an integer, got 'x'"),
         ({"optimizer": {"schedule": {"period": 0}}}, "optimizer.schedule.period must be >= 1, got 0"),
         ({"model": {"fusion": "x"}}, "model.fusion must be one of ('early', 'late'), got 'x'"),
+        ({"data": {"dims": [6, 6, 6]}}, "data.snr has 2 entries for 3 modalities"),
     ]:
         assert f"`{message}`" in text
         with pytest.raises(ConfigError) as err:
