@@ -11,6 +11,7 @@ import csv
 import itertools
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -125,14 +126,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the OSError that writing `path` would, before any work is done;
+    the probe is an unnamed temporary file, so nothing is left behind."""
+    with tempfile.TemporaryFile(dir=path.parent):
+        pass
+
+
 def _cmd_landscape(args) -> int:
     config, model, (train, _val, _test) = load_checkpoint(args.checkpoint)
     split = {"train": train, "val": _val, "test": _test}[args.split]
     seed = config.seed if args.seed is None else args.seed
-    rng = Rng(derive_seed(seed, 4))
-    grid = landscape_grid(model, split.modalities, split.labels, args.res, args.radius, rng)
     out_dir = Path(args.checkpoint)
     csv_path = out_dir / f"landscape_{args.tag}.csv"
+    _check_writable(csv_path)
+    rng = Rng(derive_seed(seed, 4))
+    grid = landscape_grid(model, split.modalities, split.labels, args.res, args.radius, rng)
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha\\beta"] + [repr(float(b)) for b in grid.betas])
@@ -163,11 +172,12 @@ def _pick_batch(config: ExperimentConfig, train, k: int):
 def _cmd_audit(args) -> int:
     config, model, (train, _val, _test) = load_checkpoint(args.checkpoint)
     xs, ys = _pick_batch(config, train, args.batch)
+    out = Path(args.out) if args.out else Path(args.checkpoint) / "shapley_audit.csv"
+    _check_writable(out)
     att = attribute_batch(model, xs, ys, target=args.target, variant=args.variant)
     v_full = att.coalition_values[(1 << model.n_modalities) - 1]
     eff_gap = float(att.phi.sum() - (v_full - att.baseline))
     eff_ok = abs(eff_gap) <= 1e-9
-    out = Path(args.out) if args.out else Path(args.checkpoint) / "shapley_audit.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["row_type", "key", "value", "ok"])

@@ -475,6 +475,8 @@ def _new_model(config: ExperimentConfig) -> MultimodalModel:
 def run(config: ExperimentConfig) -> RunRecord:
     """Train once per the config and (if out_dir is set) write all artifacts."""
     t_start = time.perf_counter()
+    if config.out_dir is not None:  # an unwritable out_dir fails before the first step
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     splits = generate(config.data)
     train, _val, _test = splits
     model = _new_model(config)
@@ -531,7 +533,6 @@ def run(config: ExperimentConfig) -> RunRecord:
 
 def _write_artifacts(config: ExperimentConfig, record: RunRecord) -> None:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     doc = config.canonical()
     doc["out_dir"] = config.out_dir
     (out / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

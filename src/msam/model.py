@@ -22,7 +22,7 @@ fusion the rows are prefix sums in modality order (the order `_fuse` adds
 in); under early fusion each row is `_fuse`'s maxout head on the
 coalition's cached features. A cached `forward_masked` returns a row of
 that table. `mean_log_probs` and `accuracies` score such a stack in one
-pass, each row bit for bit as `mean_loss` and `accuracy` score it alone.
+pass; `loss_and_accuracy` scores one (N, C) batch with the same two calls.
 """
 
 from __future__ import annotations
@@ -250,23 +250,21 @@ class MultimodalModel:
     def n_params(self) -> int:
         return self.params.size
 
-    def _check_inputs(self, xs: Sequence[Array]) -> int:
+    def _check_inputs(self, xs: Sequence[Array]) -> list[Array]:
+        """The modality arrays as float64, each checked to be (N >= 1, in_dim)."""
         if len(xs) != self.n_modalities:
             raise DimensionError(f"expected {self.n_modalities} modality arrays, got {len(xs)}")
-        n = None
-        for m, x in enumerate(xs):
-            x = np.asarray(x)
+        out = [np.asarray(x, dtype=np.float64) for x in xs]
+        for m, x in enumerate(out):
             if x.ndim != 2 or x.shape[1] != self.encoders[m].in_dim:
                 raise DimensionError(
                     f"modality {m} expects shape (N, {self.encoders[m].in_dim}), got {x.shape}"
                 )
-            if n is None:
-                n = x.shape[0]
-            elif x.shape[0] != n:
+            if x.shape[0] != out[0].shape[0]:
                 raise DimensionError("modality arrays disagree on batch size")
-        if n == 0:
+        if out[0].shape[0] == 0:
             raise UsageError("batch must be non-empty")
-        return int(n)
+        return out
 
     def _linear(self, h: Array, name: str, checked: bool) -> Array:
         z = h @ self.params.view(f"{name}.w")
@@ -301,18 +299,12 @@ class MultimodalModel:
             logits.append(self._linear(h, f"head{m}.l1", checked))
         return acts, hidden, logits
 
-    def _forward(self, masked: list[Array], checked: bool) -> ForwardTrace:
-        """The layer stack on already-masked inputs.
-
-        With `checked`, the first linear layer whose output is not finite
-        raises NumericError naming it.
-        """
-        return self._fuse(*self._branches(masked, checked), checked)
-
     def _fuse(self, acts: list[list[Array]], hidden: list[Array] | None,
               branch_logits: list[Array] | None, checked: bool) -> ForwardTrace:
         """Fusion of the branches: the late heads' logits summed in modality
-        order, or the early maxout head on the concatenated features."""
+        order, or the early maxout head on the concatenated features. After
+        `_branches` this completes the layer stack; with `checked`, the first
+        non-finite linear layer output raises NumericError naming it."""
         if branch_logits is not None:
             logits = None
             for out in branch_logits:
@@ -380,15 +372,16 @@ class MultimodalModel:
         the flat gradient are each checked finite once.
         """
         labels = np.asarray(labels)
-        n = self._check_inputs(xs)
+        xs = self._check_inputs(xs)
+        n = len(xs[0])
         check_labels(labels, n, self.classes)
-        xs = [np.asarray(x, dtype=np.float64) for x in xs]
         onehot = np.zeros((n, self.classes), dtype=np.float64)
         onehot[np.arange(n), labels] = 1.0
         loss, passes, grad = None, [], None
         with np.errstate(over="ignore", invalid="ignore"):
             for keep, weight in terms:
-                trace = self._forward(mask_inputs(xs, keep, self.n_modalities), True)
+                masked = mask_inputs(xs, keep, self.n_modalities)
+                trace = self._fuse(*self._branches(masked, True), True)
                 w = 1.0 if weight is None else float(weight)
                 value, g = _cross_entropy(trace.logits, labels, onehot, w)
                 loss = value if loss is None else loss + value
@@ -420,8 +413,7 @@ class MultimodalModel:
         (M - 1) * 2**M. Under early fusion row k is `_fuse`'s maxout head on
         coalition k's cached features.
         """
-        self._check_inputs(xs)
-        xs64 = [np.asarray(x, dtype=np.float64) for x in xs]
+        xs64 = self._check_inputs(xs)
         n_masks = 1 << self.n_modalities
         with np.errstate(over="ignore", invalid="ignore"):
             sides = (self._branches([np.zeros_like(x) for x in xs64], False),
@@ -454,7 +446,7 @@ class MultimodalModel:
         passes every check is counted.
         """
         if cache is None:
-            self._check_inputs(xs)
+            xs64 = self._check_inputs(xs)
         elif cache.model is not self or cache.flat is not self.params._flat:
             raise UsageError("branch cache was built for another model or older parameters")
         elif len(xs) != len(cache.inputs) or not all(map(operator.is_, xs, cache.inputs)):
@@ -464,9 +456,8 @@ class MultimodalModel:
         if cache is not None:
             return cache.table[sum(1 << m for m in keep)]
         with np.errstate(over="ignore", invalid="ignore"):
-            masked = mask_inputs([np.asarray(x, dtype=np.float64) for x in xs], keep,
-                                 self.n_modalities)
-            return self._forward(masked, False).logits
+            masked = mask_inputs(xs64, keep, self.n_modalities)
+            return self._fuse(*self._branches(masked, False), False).logits
 
     def forward(self, xs: Sequence[Array]) -> Array:
         """Logits of a plain forward with every modality active."""
@@ -492,25 +483,14 @@ class MultimodalModel:
         return self._value_and_grad(xs, labels, terms)
 
 
-def mean_loss(logits: Array, labels: Array) -> float:
-    """Mean softmax cross-entropy of logits whose labels passed `check_labels`,
-    in the training loss's log-sum-exp arithmetic."""
-    return float(-_label_log_probs(logits, labels)[0].mean())
-
-
-def accuracy(logits: Array, labels: Array) -> float:
-    """Top-1 accuracy of logits whose labels passed `check_labels`."""
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
 def mean_log_probs(logits: Array, labels: Array) -> Array:
-    """Mean log-probability of the labels in each (N, C) slice of a (K, N, C)
-    stack: `-mean_loss(logits[k], labels)` bit for bit, inf and nan included."""
+    """Mean log-probability of the labels per (N, C) slice of a (K, N, C) stack
+    or one (N, C) batch, each bit for bit as that slice alone, inf and nan too."""
     return _label_log_probs(logits, labels)[0].mean(axis=-1)
 
 
 def accuracies(logits: Array, labels: Array) -> Array:
-    """`accuracy` of each (N, C) slice of a (K, N, C) stack, bit for bit."""
+    """Top-1 accuracy per (N, C) slice of a (K, N, C) stack or one (N, C) batch."""
     return (np.argmax(logits, axis=-1) == labels).mean(axis=-1)
 
 
@@ -529,7 +509,7 @@ def loss_and_accuracy(logits: Array, labels: Array) -> tuple[float, float]:
     check_labels(labels, z.shape[0], z.shape[1])
     # non-finite logits (diverged model) pass through as inf/nan, not errors
     with np.errstate(over="ignore", invalid="ignore"):
-        return mean_loss(z, labels), accuracy(z, labels)
+        return float(-mean_log_probs(z, labels)), float(accuracies(z, labels))
 
 
 def evaluate(model: MultimodalModel, xs: Sequence[Array], labels: Array) -> tuple[float, float]:

@@ -161,8 +161,10 @@ def _step(
     if rho_t > 0.0 and an >= GRAD_NORM_FLOOR:
         eps = (rho_t / an) * ascent
         params.load_flat(theta + eps)
-        loss_p, g_p = perturbed()
-        params.load_flat(theta)
+        try:
+            loss_p, g_p = perturbed()
+        finally:
+            params.load_flat(theta)
         direction = mix(g_p) + cfg.weight_decay * theta
         eps_norm = float(np.linalg.norm(eps))
     else:

@@ -276,8 +276,15 @@ def test_convergence_rejects_a_damaged_steps_csv(tmp_path, capsys, text, message
 # --------------------------------------------------------------- output paths
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the work ran before the output path was checked")
+
+
 @pytest.mark.parametrize("command", ["export-data", "shapley-audit", "landscape", "train"])
-def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, command):
+def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatch, command):
+    for module, name in (("msam.harness", "train_step"), ("msam.cli", "landscape_grid"),
+                         ("msam.cli", "attribute_batch")):
+        monkeypatch.setattr(f"{module}.{name}", _never_called)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0],
                                 "n_train": 4, "n_val": 2, "n_test": 2, "seed": 0}))
@@ -290,9 +297,11 @@ def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, command):
         "landscape": ["--checkpoint", str(checkpoint), "--res", "3", "--tag", "a/b"],
         "train": ["--config", str(cfg), "--out-dir", str(tmp_path / "file" / "x")],
     }[command]
+    before = sorted(tmp_path.rglob("*")) + sorted(checkpoint.rglob("*"))
     assert main([command, *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) + sorted(checkpoint.rglob("*")) == before
 
 
 # ----------------------------------------------------------------- export-data

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from msam.errors import ConfigError, DimensionError, UsageError
-from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, accuracies, accuracy,
-                        evaluate, loss_and_accuracy, mask_inputs, mean_log_probs, mean_loss)
+from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, accuracies, evaluate,
+                        loss_and_accuracy, mask_inputs, mean_log_probs)
 from msam.tensor import Rng
 
 
@@ -59,7 +59,7 @@ def test_parameter_count_early_fusion():
 def test_identity_encoder_feeds_raw_input():
     m = MultimodalModel([EncoderSpec(3)], FusionSpec("late", width=2), classes=2, bias=False)
     xs = [np.array([[1.0, -2.0, 0.5]])]
-    trace = m._forward(xs, False)
+    trace = m._fuse(*m._branches(xs, False), False)
     assert_array_equal(trace.acts[0][-1], xs[0])
 
 
@@ -108,6 +108,26 @@ def test_input_validation():
         m.loss_value_and_grad(xs, labels[:3])
     with pytest.raises(UsageError):
         m.forward_masked(xs, {2})
+
+
+@pytest.mark.parametrize("build", [late_model, early_model])
+@pytest.mark.parametrize("convert", [
+    lambda x: x.tolist(),
+    lambda x: np.round(4.0 * x).astype(np.int64),
+    lambda x: x.astype(np.float32),
+], ids=["nested-list", "int64", "float32"])
+def test_non_float64_inputs_match_their_float64_copies(build, convert):
+    m = build()
+    xs, labels = make_batch(m)
+    given = [convert(x) for x in xs]
+    copies = [np.asarray(x, dtype=np.float64) for x in given]
+    assert_array_equal(m.forward(given), m.forward(copies))
+    assert_array_equal(m.forward_masked(given, {1}), m.forward_masked(copies, {1}))
+    assert_array_equal(m.branch_cache(given).table, m.branch_cache(copies).table)
+    loss, grad = m.loss_value_and_grad(given, labels)
+    loss64, grad64 = m.loss_value_and_grad(copies, labels)
+    assert loss.hex() == loss64.hex()
+    assert grad.tobytes() == grad64.tobytes()
 
 
 # -------------------------------------------------------------------- masking
@@ -341,6 +361,7 @@ def test_stacked_scores_equal_single_scores_bitwise(case):
     with np.errstate(all="ignore"):
         logps, accs = mean_log_probs(z, labels), accuracies(z, labels)
         for k, row in enumerate(z):
-            assert float(-logps[k]).hex() == mean_loss(row, labels).hex()
-            assert mean_loss(row, labels).hex() == reference_mean_loss(row, labels).hex()
-            assert float(accs[k]).hex() == accuracy(row, labels).hex()
+            loss, acc = loss_and_accuracy(row, labels)
+            assert float(-logps[k]).hex() == loss.hex() == reference_mean_loss(row, labels).hex()
+            assert float(accs[k]).hex() == acc.hex()
+            assert acc.hex() == float(np.mean(np.argmax(row, axis=1) == labels)).hex()

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from msam import optim
 from msam.autodiff import ParameterVector
-from msam.errors import ConfigError, UsageError
+from msam.errors import ConfigError, NumericError, UsageError
 from msam.model import EncoderSpec, FusionSpec, MultimodalModel, evaluate, loss_and_accuracy
 from msam.optim import (OptimConfig, OptimState, Schedule, msam_branch_step,
                         msam_step, sam_step, sgd_step, train_step)
@@ -178,6 +178,27 @@ def test_sam_evaluates_at_perturbed_point_and_restores():
     # descent starts from the unperturbed parameters
     g_p = 2.0 * seen[1]
     assert_allclose(params.flatten(), seen[0] - 0.01 * g_p, atol=1e-15)
+
+
+def test_failed_perturbed_pass_restores_parameters_and_state():
+    params = ParameterVector([("theta", np.array([1.0, 2.0]))])
+    calls = []
+
+    def vag():
+        calls.append(params.flatten())
+        if len(calls) == 2:
+            raise NumericError("loss is non-finite (nan)")
+        return 2.5, np.array([1.0, 0.0])
+
+    state = OptimState(2)
+    state.t, state.velocity, state.last_eps = 3, np.array([0.25, -0.5]), np.array([0.125, 0.0])
+    with pytest.raises(NumericError):
+        sam_step(vag, params, state, OptimConfig(kind="sam", lr=0.1, momentum=0.5, rho=0.5))
+    assert_array_equal(calls[1], [1.5, 2.0])
+    assert params.flatten().tobytes() == np.array([1.0, 2.0]).tobytes()
+    assert state.t == 3
+    assert state.velocity.tobytes() == np.array([0.25, -0.5]).tobytes()
+    assert state.last_eps.tobytes() == np.array([0.125, 0.0]).tobytes()
 
 
 def test_sam_zero_grad_skips_second_pass():
