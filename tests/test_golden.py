@@ -1,9 +1,14 @@
-"""Golden artifacts: the exact bytes of `metrics.csv` and `steps.csv`.
+"""Golden artifacts: the exact bytes of `metrics.csv` and `steps.csv`, and of
+the CLI's text outputs.
 
 Every preset runs for a few epochs at seed 0, plus the optimizer kinds and
 model options the presets leave out, and msam runs with three, four and
 eight modalities, whose Shapley coalition tables the presets' two cannot
-reach. Loss and gradient bytes are pinned too, for shapes the presets lack
+reach. The CLI's outputs on one small checkpoint are pinned too:
+`landscape_<tag>.csv` and its JSON sidecar (hashed in sorted-key form, so
+only its keys and values are pinned), `shapley_audit.csv` for the standard
+variant with the loss target and the paper variant with the accuracy
+target, and `convergence.csv`. Loss and gradient bytes are pinned too, for shapes the presets lack
 (three maxout pieces, three modalities, several weighted terms), where the order in which contributions are summed shows in
 the last bits. The pinned sha256 values were computed once and must never be
 edited: a refactor of the model, the optimizers or the harness is
@@ -11,11 +16,13 @@ behaviour-preserving only if these bytes stay identical.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from msam import harness
+from msam.cli import main
 from msam.model import EncoderSpec, FusionSpec, MultimodalModel
 from msam.tensor import Rng, derive_seed
 
@@ -152,3 +159,45 @@ CONFIG_GOLDEN = {
 def test_config_hash_is_pinned(case):
     cfg = harness.resolve_config(CONFIG_CASES[case])
     assert harness.config_hash(cfg) == CONFIG_GOLDEN[case]
+
+
+# the small two-epoch run that tests/test_cli.py diagnoses
+CLI_CONFIG = {
+    "seed": 0, "epochs": 2, "batch_size": 8,
+    "data": {"classes": 3, "dims": [4, 3], "snr": [2.0, 0.5],
+             "n_train": 24, "n_val": 12, "n_test": 12},
+    "model": {"hidden": [6], "width": 4},
+    "optimizer": {"kind": "msam", "lr": 0.05, "momentum": 0.9, "rho": 0.1},
+}
+
+CLI_GOLDEN = {
+    "audit-paper-accuracy.csv": "6b2f25c74dbde34c22e11aa0500ebfc2b7f0de15d3d47c4e354c58b792fe05e8",
+    "audit-standard-loss.csv": "752bf252065a74b8313312d99e080354ead471dd6f5a95ff5b8143aacc77bbd0",
+    "convergence.csv": "e82112783330a4dede0f3e343835a472b3d29de1c6e2b837c861b1c711df66a6",
+    "landscape_t.csv": "dc143110ffe4ce947dbfa1532b932638b81491e0559077695f5e0ee3f7e768b1",
+    "landscape_t.json": "717eba22517d0af29f6fb8bce7b5b3a784ac2c5c146cfc8e849b6427a8da27e1",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_hashes(tmp_path_factory):
+    run = tmp_path_factory.mktemp("cli") / "run"
+    cfg = run.parent / "cfg.json"
+    cfg.write_text(json.dumps({**CLI_CONFIG, "out_dir": str(run)}))
+    ckpt = ["--checkpoint", str(run)]
+    for argv in (["train", "--config", str(cfg)],
+                 ["landscape", *ckpt, "--radius", "0.5", "--res", "5", "--tag", "t"],
+                 ["shapley-audit", *ckpt, "--out", str(run / "audit-standard-loss.csv")],
+                 ["shapley-audit", *ckpt, "--variant", "paper", "--target", "accuracy",
+                  "--out", str(run / "audit-paper-accuracy.csv")],
+                 ["convergence", "--run", str(run)]):
+        assert main(argv) == 0
+    sidecar = json.dumps(json.loads((run / "landscape_t.json").read_text()), sort_keys=True)
+    hashes = {name: hashlib.sha256((run / name).read_bytes()).hexdigest() for name in CLI_GOLDEN}
+    hashes["landscape_t.json"] = hashlib.sha256(sidecar.encode()).hexdigest()
+    return hashes
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_outputs_are_byte_identical(name, cli_hashes):
+    assert cli_hashes[name] == CLI_GOLDEN[name]
