@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -29,6 +28,8 @@ from .harness import (
     resolve_config,
     resolve_data_spec,
     run,
+    write_csv,
+    write_json,
 )
 from .metrics import convergence_report, landscape_grid
 from .model import evaluate
@@ -142,12 +143,9 @@ def _cmd_landscape(args) -> int:
     _check_writable(csv_path)
     rng = Rng(derive_seed(seed, 4))
     grid = landscape_grid(model, split.modalities, split.labels, args.res, args.radius, rng)
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha\\beta"] + [repr(float(b)) for b in grid.betas])
-        for i, a in enumerate(grid.alphas):
-            w.writerow([repr(float(a))] + [repr(float(v)) for v in grid.losses[i]])
-    sidecar = {
+    write_csv(csv_path, ["alpha\\beta", *grid.betas],
+              ([a, *losses] for a, losses in zip(grid.alphas, grid.losses)))
+    write_json(out_dir / f"landscape_{args.tag}.json", {
         "seed": seed,
         "radius": grid.radius,
         "resolution": grid.resolution,
@@ -155,8 +153,7 @@ def _cmd_landscape(args) -> int:
         "center_loss": grid.center_loss,
         "d1_norm": float(np.linalg.norm(grid.d1)),
         "d2_norm": float(np.linalg.norm(grid.d2)),
-    }
-    (out_dir / f"landscape_{args.tag}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    })
     print(f"landscape: wrote {csv_path} (center loss {grid.center_loss:.6f})")
     return 0
 
@@ -178,20 +175,15 @@ def _cmd_audit(args) -> int:
     v_full = att.coalition_values[(1 << model.n_modalities) - 1]
     eff_gap = float(att.phi.sum() - (v_full - att.baseline))
     eff_ok = abs(eff_gap) <= 1e-9
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row_type", "key", "value", "ok"])
-        for mask in sorted(att.coalition_values):
-            members = "+".join(f"m{m + 1}" for m in range(model.n_modalities) if mask >> m & 1)
-            w.writerow(["coalition", members or "empty", repr(att.coalition_values[mask]), ""])
-        for m, v in enumerate(att.phi):
-            w.writerow(["phi", f"m{m + 1}", repr(float(v)), ""])
-        for m, v in enumerate(att.nu):
-            w.writerow(["nu", f"m{m + 1}", repr(float(v)), ""])
-        w.writerow(["dominant", f"m{att.dominant + 1}", repr(float(att.nu[att.dominant])), ""])
-        w.writerow(["degenerate", "", str(att.degenerate).lower(), ""])
-        w.writerow(["efficiency", "sum_phi - (v_full - v_empty)", repr(eff_gap),
-                    "true" if eff_ok else "false"])
+    names = [f"m{m + 1}" for m in range(model.n_modalities)]
+    rows = [["coalition", "+".join(n for m, n in enumerate(names) if mask >> m & 1) or "empty",
+             v, None] for mask, v in sorted(att.coalition_values.items())]
+    rows += [[kind, n, v, None] for kind, vs in (("phi", att.phi), ("nu", att.nu))
+             for n, v in zip(names, vs)]
+    rows += [["dominant", names[att.dominant], att.nu[att.dominant], None],
+             ["degenerate", None, att.degenerate, None],
+             ["efficiency", "sum_phi - (v_full - v_empty)", eff_gap, eff_ok]]
+    write_csv(out, ["row_type", "key", "value", "ok"], rows)
     print(
         f"shapley-audit: variant={att.variant} target={att.target} "
         f"dominant=m{att.dominant + 1} nu={np.round(att.nu, 4).tolist()} "
@@ -234,18 +226,20 @@ def _cmd_convergence(args) -> int:
     norms = []
     for row in reader:
         try:
-            norms.append(float(row["grad_norm"]))
+            norm = float(row["grad_norm"])
         except (TypeError, ValueError):  # a short row reads None
+            norm = None
+        if norm is None or not 0 <= norm < np.inf:  # a completed run writes none of these
+            why = "is not a number" if norm is None else "must be finite and >= 0"
             raise ConfigError(f"{steps_path} line {reader.line_num}: grad_norm "
-                              f"{row['grad_norm']!r} is not a number") from None
+                              f"{row['grad_norm']!r} {why}")
+        norms.append(norm)
+    if len(norms) < 2:
+        raise ConfigError(f"{steps_path} holds {len(norms)} grad_norm rows, need at least 2")
     rep = convergence_report(norms, calibrate_at=args.calibrate_at)
     out = run_dir / "convergence.csv"
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "grad_sq_norm", "running_avg", "bound"])
-        for i in range(rep.sq_norms.size):
-            w.writerow([i + 1, repr(float(rep.sq_norms[i])),
-                        repr(float(rep.running_avg[i])), repr(float(rep.bound[i]))])
+    write_csv(out, ["t", "grad_sq_norm", "running_avg", "bound"],
+              zip(itertools.count(1), rep.sq_norms, rep.running_avg, rep.bound))
     print(
         f"convergence: T={rep.sq_norms.size} C={rep.c_fit:.6g} g_max={rep.g_max:.6g} "
         f"avg@{rep.calibrate_at}={rep.running_avg[rep.calibrate_at - 1]:.6g} "

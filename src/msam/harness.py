@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -418,12 +418,28 @@ def _epoch_record(
     )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
+def _cell(x) -> str:
+    """The one CSV form of a value: floats (most cells, so checked first) as
+    `repr(float(x))`, bools as true/false, integers in decimal, None empty,
+    and strings as they are."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return repr(float(x))
+    return "" if x is None else x
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Every CSV file msam writes: `header`, then `rows`, each cell as `_cell` gives it."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([_cell(x) for x in row] for row in [header, *rows])
+
+
+def write_json(path: str | Path, doc: Any) -> None:
+    """Every JSON file msam writes: `doc` with sorted keys, indented by 2."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_metrics_csv(path: Path, records: Sequence[MetricRecord], n_modalities: int) -> None:
@@ -433,17 +449,11 @@ def write_metrics_csv(path: Path, records: Sequence[MetricRecord], n_modalities:
         + [f"nu_m{m + 1}" for m in range(n_modalities)]
         + ["dom_freq", "grad_sq_norm", "lr", "rho"]
     )
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for rec in records:
-            nu = rec.mean_nu if rec.mean_nu is not None else [None] * n_modalities
-            for split in ("train", "val", "test"):
-                row = [str(rec.epoch), split, _fmt(rec.loss[split]), _fmt(rec.acc[split]), _fmt(rec.tau)]
-                row += [_fmt(a) for a in rec.mono_acc[split]]
-                row += [_fmt(v) for v in nu]
-                row += [_fmt(rec.dom_freq), _fmt(rec.grad_sq_norm), _fmt(rec.lr), _fmt(rec.rho)]
-                w.writerow(row)
+    write_csv(path, header, (
+        [rec.epoch, split, rec.loss[split], rec.acc[split], rec.tau, *rec.mono_acc[split],
+         *(rec.mean_nu if rec.mean_nu is not None else [None] * n_modalities),
+         rec.dom_freq, rec.grad_sq_norm, rec.lr, rec.rho]
+        for rec in records for split in ("train", "val", "test")))
 
 
 def write_steps_csv(path: Path, steps: Sequence[StepReport], steps_per_epoch: int, n_modalities: int) -> None:
@@ -451,19 +461,11 @@ def write_steps_csv(path: Path, steps: Sequence[StepReport], steps_per_epoch: in
         ["t", "epoch", "loss", "loss_perturbed", "grad_norm", "eps_norm", "lr", "rho", "dominant"]
         + [f"nu_m{m + 1}" for m in range(n_modalities)]
     )
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for rep in steps:
-            epoch = (rep.t - 1) // steps_per_epoch
-            nu = rep.nu if rep.nu is not None else [None] * n_modalities
-            row = [
-                str(rep.t), str(epoch), _fmt(rep.loss), _fmt(rep.loss_perturbed),
-                _fmt(rep.grad_norm), _fmt(rep.eps_norm), _fmt(rep.lr), _fmt(rep.rho),
-                "" if rep.dominant is None else str(rep.dominant),
-            ]
-            row += [_fmt(v) for v in nu]
-            w.writerow(row)
+    write_csv(path, header, (
+        [rep.t, (rep.t - 1) // steps_per_epoch, rep.loss, rep.loss_perturbed, rep.grad_norm,
+         rep.eps_norm, rep.lr, rep.rho, rep.dominant,
+         *(rep.nu if rep.nu is not None else [None] * n_modalities)]
+        for rep in steps))
 
 
 def _new_model(config: ExperimentConfig) -> MultimodalModel:
@@ -533,36 +535,23 @@ def run(config: ExperimentConfig) -> RunRecord:
 
 def _write_artifacts(config: ExperimentConfig, record: RunRecord) -> None:
     out = Path(config.out_dir)
-    doc = config.canonical()
-    doc["out_dir"] = config.out_dir
-    (out / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(out / "config.json", {**config.canonical(), "out_dir": config.out_dir})
     write_metrics_csv(out / "metrics.csv", record.records, record.model.n_modalities)
     write_steps_csv(out / "steps.csv", record.steps, config.steps_per_epoch, record.model.n_modalities)
     params = record.model.params
     np.savez(out / "params.npz", **{name: params.view(name) for name in params.names})
-    last = record.records[-1]
-    summary = {
+    last, conv = record.records[-1], record.convergence
+    write_json(out / "run_summary.json", {
         "config_hash": record.config_hash,
         "epochs_run": last.epoch + 1,
         "stopped_early": record.stopped_early,
-        "final": {
-            "loss": last.loss,
-            "acc": last.acc,
-            "tau": last.tau,
-            "dom_freq": last.dom_freq,
-        },
-        "convergence": None
-        if record.convergence is None
-        else {
-            "c_fit": record.convergence.c_fit,
-            "g_max": record.convergence.g_max,
-            "final_running_avg": float(record.convergence.running_avg[-1]),
-            "calibrate_at": record.convergence.calibrate_at,
-        },
+        "final": {"loss": last.loss, "acc": last.acc, "tau": last.tau, "dom_freq": last.dom_freq},
+        "convergence": None if conv is None else {
+            "c_fit": conv.c_fit, "g_max": conv.g_max,
+            "final_running_avg": float(conv.running_avg[-1]), "calibrate_at": conv.calibrate_at},
         "wall_clock_sec": record.wall_clock,
         "n_steps": len(record.steps),
-    }
-    (out / "run_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def compare(config: ExperimentConfig) -> dict[str, RunRecord]:

@@ -265,6 +265,11 @@ def test_convergence_needs_steps_csv(tmp_path, capsys):
     ("t,loss\n1,0.5\n", "has no grad_norm column"),
     ("", "has no grad_norm column"),
     (b"t,grad_norm\n1,0.5\xff\n", "is not UTF-8 text"),
+    ("t,grad_norm\n1,0.5\n2,nan\n", "line 3: grad_norm 'nan' must be finite and >= 0"),
+    ("t,grad_norm\n1,0.5\n2,inf\n", "line 3: grad_norm 'inf' must be finite and >= 0"),
+    ("t,grad_norm\n1,-1\n2,0.5\n", "line 2: grad_norm '-1' must be finite and >= 0"),
+    ("t,grad_norm\n", "holds 0 grad_norm rows, need at least 2"),
+    ("t,grad_norm\n1,0.5\n", "holds 1 grad_norm rows, need at least 2"),
 ])
 def test_convergence_rejects_a_damaged_steps_csv(tmp_path, capsys, text, message):
     (tmp_path / "steps.csv").write_bytes(text if isinstance(text, bytes) else text.encode())

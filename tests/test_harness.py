@@ -6,7 +6,9 @@ checked for end-to-end determinism including byte-identical CSV artifacts,
 checkpoint reload, early stopping, and the divergence abort message.
 """
 
+import ast
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -390,3 +392,52 @@ def test_preset_names_and_overrides():
 def test_presets_resolve(name):
     cfg = resolve_config(preset(name))
     assert cfg.epochs >= 1
+
+
+# --------------------------------------------------------------------- writers
+
+
+def text_writes(source: str) -> list[str]:
+    """`function: call` for every text-file write in `source`: an `open` with
+    a constant text write mode, a `.write_text` or a `json.dump`. Binary
+    modes are outside the scan."""
+    found = []
+
+    def is_text_write_mode(arg):
+        return (isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                and re.fullmatch(r"[rwxabt+]+", arg.value) is not None
+                and bool(set(arg.value) & set("wax+")) and "b" not in arg.value)
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                modes = [*child.args, *(k.value for k in child.keywords if k.arg == "mode")]
+                if ((name == "open" and any(map(is_text_write_mode, modes)))
+                        or name == "write_text"
+                        or (name == "dump" and getattr(f.value, "id", "") == "json")):
+                    found.append(f"{where}: {name}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_text_write_scan_flags_only_text_writes():
+    source = ("import json\n"
+              "def a(p):\n    with open(p, 'w', newline='') as fh: json.dump({}, fh)\n"
+              "def b(p):\n    p.write_text('x')\n    p.open(mode='a+')\n"
+              "def c(p, zf):\n    open(p, 'wb'); open(p); p.open('rb'); zf.open(p); json.dumps({})\n"
+              "open('log', 'x')\n")
+    assert text_writes(source) == ["a: open", "a: dump", "b: write_text", "b: open",
+                                   "<module>: open"]
+
+
+def test_only_the_writers_write_text_files():
+    """Every text file msam writes goes through `write_csv` or `write_json`,
+    so how a file is opened and filled is decided in one place each."""
+    src = Path(harness.__file__).parent
+    found = [f"{path.name} {hit}" for path in sorted(src.glob("*.py"))
+             for hit in text_writes(path.read_text())]
+    assert found == ["harness.py write_csv: open", "harness.py write_json: write_text"]
