@@ -3,7 +3,8 @@
 Configs are checked for strict key validation, hash semantics (order and
 out_dir independent, value dependent), and canonical round-tripping. Runs are
 checked for end-to-end determinism including byte-identical CSV artifacts,
-checkpoint reload, early stopping, and the divergence abort message.
+checkpoint reload, early stopping, and the divergence abort message. An AST
+scan keeps `write_csv` and `write_json` the only code that writes text files.
 """
 
 import ast
