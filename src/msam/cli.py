@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import itertools
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -127,11 +129,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _check_writable(path: Path) -> None:
-    """Raise the OSError that writing `path` would, before any work is done;
-    the probe is an unnamed temporary file, so nothing is left behind."""
-    with tempfile.TemporaryFile(dir=path.parent):
-        pass
+def _check_writable(*paths: Path) -> None:
+    """Raise the OSError that writing each of `paths` would, before any work
+    is done: an existing directory is IsADirectoryError, and the parent is
+    probed with an unnamed temporary file, so nothing is left behind."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        with tempfile.TemporaryFile(dir=path.parent):
+            pass
 
 
 def _cmd_landscape(args) -> int:
@@ -140,12 +146,13 @@ def _cmd_landscape(args) -> int:
     seed = config.seed if args.seed is None else args.seed
     out_dir = Path(args.checkpoint)
     csv_path = out_dir / f"landscape_{args.tag}.csv"
-    _check_writable(csv_path)
+    json_path = out_dir / f"landscape_{args.tag}.json"
+    _check_writable(csv_path, json_path)
     rng = Rng(derive_seed(seed, 4))
     grid = landscape_grid(model, split.modalities, split.labels, args.res, args.radius, rng)
     write_csv(csv_path, ["alpha\\beta", *grid.betas],
               ([a, *losses] for a, losses in zip(grid.alphas, grid.losses)))
-    write_json(out_dir / f"landscape_{args.tag}.json", {
+    write_json(json_path, {
         "seed": seed,
         "radius": grid.radius,
         "resolution": grid.resolution,
@@ -236,6 +243,8 @@ def _cmd_convergence(args) -> int:
         norms.append(norm)
     if len(norms) < 2:
         raise ConfigError(f"{steps_path} holds {len(norms)} grad_norm rows, need at least 2")
+    if args.calibrate_at is not None and not 2 <= args.calibrate_at <= len(norms):
+        raise ConfigError(f"--calibrate-at must be in [2, {len(norms)}], got {args.calibrate_at}")
     rep = convergence_report(norms, calibrate_at=args.calibrate_at)
     out = run_dir / "convergence.csv"
     write_csv(out, ["t", "grad_sq_norm", "running_avg", "bound"],

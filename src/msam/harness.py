@@ -388,10 +388,15 @@ def _epoch_record(
     loss: dict[str, float] = {}
     acc: dict[str, float] = {}
     mono: dict[str, tuple[float, ...]] = {}
+    # one partial cache per split: the full coalition and the M singletons
+    # (one mask when M = 1), 2M branch passes instead of M(M + 1)
+    masks = list(dict.fromkeys([(1 << model.n_modalities) - 1,
+                                *(1 << m for m in range(model.n_modalities))]))
     for ds in splits:
-        loss[ds.split], acc[ds.split] = evaluate(model, ds.modalities, ds.labels)
+        cache = model.branch_cache(ds.modalities, masks)
+        loss[ds.split], acc[ds.split] = evaluate(model, ds.modalities, ds.labels, cache)
         mono[ds.split] = tuple(
-            mono_modal_accuracy(model, ds.modalities, ds.labels, m)
+            mono_modal_accuracy(model, ds.modalities, ds.labels, m, cache)
             for m in range(model.n_modalities)
         )
     tau = overfitting_gap(acc["train"], acc["test"])

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .model import MultimodalModel, evaluate, loss_and_accuracy
+from .model import BranchCache, MultimodalModel, evaluate, loss_and_accuracy
 from .tensor import Rng
 
 Array = np.ndarray
@@ -60,10 +60,13 @@ def relative_gain(acc_method: float, acc_baseline: float) -> float:
     return (acc_method - acc_baseline) / acc_baseline * 100.0
 
 
-def mono_modal_accuracy(model: MultimodalModel, xs: Sequence[Array], labels: Array, m: int) -> float:
+def mono_modal_accuracy(model: MultimodalModel, xs: Sequence[Array], labels: Array, m: int,
+                        cache: BranchCache | None = None) -> float:
     """Accuracy with only modality m active (all others zero-masked); an
-    index outside [0, M) is a UsageError."""
-    _, acc = loss_and_accuracy(model.forward_masked(xs, (m,)), np.asarray(labels))
+    index outside [0, M) is a UsageError. With a `cache` from
+    `model.branch_cache(xs, ...)` that holds the singleton {m}, the logits are
+    its table row, bit for bit those of the masked forward."""
+    _, acc = loss_and_accuracy(model.forward_masked(xs, (m,), cache), np.asarray(labels))
     return acc
 
 

@@ -15,14 +15,17 @@ inputs zeroed before encoding.
 
 A modality's branch (its encoder and, under late fusion, its head) sees only
 its own input, so `branch_cache` runs each branch once on the input and once
-on zeros and builds from them one (2**M, N, C) table of every coalition's
-logits by fusion alone: 2M branch passes, then one 2**M-row table under
-either fusion, where uncached masking costs 2**M full forwards. Under late
-fusion the rows are prefix sums in modality order (the order `_fuse` adds
-in); under early fusion each row is `_fuse`'s maxout head on the
-coalition's cached features. A cached `forward_masked` returns a row of
-that table. `mean_log_probs` and `accuracies` score such a stack in one
-pass; `loss_and_accuracy` scores one (N, C) batch with the same two calls.
+on zeros and builds from their outputs a table of coalition logits by fusion
+alone: 2M branch passes, where uncached masking costs M branch passes per
+coalition. The full table holds all 2**M coalitions; under late fusion its
+rows are prefix sums in modality order (the order `_fuse` adds in), under
+early fusion each row is `_fuse`'s maxout head on the coalition's cached
+features. A partial table holds only the coalitions a caller names, each
+row `_fuse` on that coalition's cached outputs; evaluation reads the full
+coalition and the M singletons from one. A cached `forward_masked` returns
+a row of the table. `mean_log_probs` and `accuracies` score such a stack in
+one pass; `loss_and_accuracy` scores one (N, C) batch with the same two
+calls.
 """
 
 from __future__ import annotations
@@ -108,16 +111,19 @@ class ForwardTrace:
 class BranchCache(NamedTuple):
     """One batch's coalition logits, from `MultimodalModel.branch_cache`.
 
-    `table[k]` holds the logits of the coalition with bitmask k (bit m set =
-    modality m active), read-only. `model`, `flat` (the parameter buffer,
-    which `load_flat` replaces rather than writes) and `inputs` identify what
-    the cache is valid for.
+    A coalition is a bitmask k (bit m set = modality m active). With `rows`
+    None the table is full and `table[k]` holds coalition k's logits;
+    otherwise `table[rows[k]]` does, for the coalitions `rows` names. The
+    table is read-only. `model`, `flat` (the parameter buffer, which
+    `load_flat` replaces rather than writes) and `inputs` identify what the
+    cache is valid for.
     """
 
     model: "MultimodalModel"
     flat: Array
     inputs: tuple[Array, ...]
     table: Array
+    rows: dict[int, int] | None = None
 
 
 def _relu(z: Array) -> Array:
@@ -397,41 +403,68 @@ class MultimodalModel:
             raise NumericError(f"gradient of {name} is non-finite")
         return float(loss), grad
 
-    def branch_cache(self, xs: Sequence[Array]) -> BranchCache:
-        """Every coalition's logits on this batch, from 2M branch passes.
+    def _branch_outputs(self, inputs: list[Array]) -> list[Array]:
+        """Each branch's output on `inputs`: its head's logits under late
+        fusion, its last encoder activation under early fusion. The other
+        activations are dropped on return."""
+        acts, _, logits = self._branches(inputs, False)
+        return logits if logits is not None else [a[-1] for a in acts]
+
+    def branch_cache(self, xs: Sequence[Array], masks: Sequence[int] | None = None) -> BranchCache:
+        """Coalition logits on this batch, from 2M branch passes.
 
         A branch is the modality's encoder, followed under late fusion by its
-        head; each runs once on zeros and once on its input. `forward_masked`
-        with this cache returns any coalition's logits bit for bit as without
-        the cache, for as long as the parameters stay unchanged. Like
+        head; each runs once on zeros and once on its input, and the cache
+        keeps only each branch's two outputs. `forward_masked` with this
+        cache returns a cached coalition's logits bit for bit as without the
+        cache, for as long as the parameters stay unchanged. Like
         `forward_masked`, it never raises on overflow.
 
-        Under late fusion the table is built by prefix sums: after modality
-        m, rows [0, 2**(m+1)) hold the coalitions of modalities 0..m, each
-        row the sum `_fuse` forms for it, in the same order. That is about
+        With `masks` None the table holds every coalition, row k for bitmask
+        k. Under late fusion it is built by prefix sums: after modality m,
+        rows [0, 2**(m+1)) hold the coalitions of modalities 0..m, each row
+        the sum `_fuse` forms for it, in the same order. That is about
         2**(M+1) row additions, where summing each coalition alone takes
         (M - 1) * 2**M. Under early fusion row k is `_fuse`'s maxout head on
         coalition k's cached features.
+
+        A list of distinct bitmasks in [0, 2**M) builds a partial table
+        instead, one row per mask in list order, each `_fuse` on that
+        coalition's cached outputs; an empty list, a mask out of range or a
+        repeated mask is a UsageError.
         """
-        xs64 = self._check_inputs(xs)
         n_masks = 1 << self.n_modalities
+        if masks is not None:
+            if not masks:
+                raise UsageError("coalition mask list is empty")
+            bad = [k for k in masks if not 0 <= k < n_masks]
+            if bad:
+                raise UsageError(f"coalition mask {bad[0]} outside [0, {n_masks})")
+            if len(set(masks)) != len(masks):
+                raise UsageError(f"coalition masks repeat: {masks}")
+        xs64 = self._check_inputs(xs)
+        order = range(n_masks) if masks is None else masks
         with np.errstate(over="ignore", invalid="ignore"):
-            sides = (self._branches([np.zeros_like(x) for x in xs64], False),
-                     self._branches(xs64, False))
-            table = np.empty((n_masks, len(xs64[0]), self.classes))
-            if self.fusion.mode == "late":
-                off, on = sides[0][2], sides[1][2]
+            sides = (self._branch_outputs([np.zeros_like(x) for x in xs64]),
+                     self._branch_outputs(xs64))
+            table = np.empty((len(order), len(xs64[0]), self.classes))
+            if masks is None and self.fusion.mode == "late":
+                off, on = sides
                 table[0], table[1] = off[0], on[0]
                 for m in range(1, self.n_modalities):
                     half = 1 << m
                     np.add(table[:half], on[m], out=table[half:2 * half])
                     np.add(table[:half], off[m], out=table[:half])
             else:
-                for k in range(n_masks):
-                    acts = [sides[k >> m & 1][0][m] for m in range(self.n_modalities)]
-                    table[k] = self._fuse(acts, None, None, False).logits
+                for i, k in enumerate(order):
+                    outs = [sides[k >> m & 1][m] for m in range(self.n_modalities)]
+                    if self.fusion.mode == "late":
+                        table[i] = self._fuse([], None, outs, False).logits
+                    else:
+                        table[i] = self._fuse([[o] for o in outs], None, None, False).logits
         table.flags.writeable = False  # its rows are handed out as logits
-        return BranchCache(self, self.params._flat, tuple(xs), table)
+        rows = None if masks is None else {k: i for i, k in enumerate(masks)}
+        return BranchCache(self, self.params._flat, tuple(xs), table, rows)
 
     def forward_masked(
         self, xs: Sequence[Array], keep: Iterable[int], cache: BranchCache | None = None
@@ -442,8 +475,9 @@ class MultimodalModel:
         of a diverged model reports inf/nan values as they are. With a
         `cache` from `branch_cache(xs)` nothing runs: the logits are the
         coalition's read-only table row. A cache built for another model,
-        other inputs or older parameters is a UsageError. Only a call that
-        passes every check is counted.
+        other inputs or older parameters, or a partial cache without this
+        coalition, is a UsageError. Only a call that passes every check is
+        counted.
         """
         if cache is None:
             xs64 = self._check_inputs(xs)
@@ -452,9 +486,15 @@ class MultimodalModel:
         elif len(xs) != len(cache.inputs) or not all(map(operator.is_, xs, cache.inputs)):
             raise UsageError("branch cache was built from other inputs")
         keep = _coalition(keep, self.n_modalities)
-        self.counters["masked_forward"] += 1
         if cache is not None:
-            return cache.table[sum(1 << m for m in keep)]
+            row = sum(1 << m for m in keep)
+            if cache.rows is not None:
+                row = cache.rows.get(row)
+                if row is None:
+                    raise UsageError(f"coalition {list(keep)} is not in the branch cache")
+            self.counters["masked_forward"] += 1
+            return cache.table[row]
+        self.counters["masked_forward"] += 1
         with np.errstate(over="ignore", invalid="ignore"):
             masked = mask_inputs(xs64, keep, self.n_modalities)
             return self._fuse(*self._branches(masked, False), False).logits
@@ -512,6 +552,13 @@ def loss_and_accuracy(logits: Array, labels: Array) -> tuple[float, float]:
         return float(-mean_log_probs(z, labels)), float(accuracies(z, labels))
 
 
-def evaluate(model: MultimodalModel, xs: Sequence[Array], labels: Array) -> tuple[float, float]:
-    """Plain full-coalition loss and accuracy on one batch or split."""
-    return loss_and_accuracy(model.forward(xs), np.asarray(labels))
+def evaluate(model: MultimodalModel, xs: Sequence[Array], labels: Array,
+             cache: BranchCache | None = None) -> tuple[float, float]:
+    """Plain full-coalition loss and accuracy on one batch or split.
+
+    Without a `cache` this is one direct forward of every branch; with one
+    from `model.branch_cache(xs, ...)` that holds the full coalition, it
+    scores that table row, bit for bit the same logits.
+    """
+    logits = model.forward_masked(xs, range(model.n_modalities), cache)
+    return loss_and_accuracy(logits, np.asarray(labels))

@@ -254,6 +254,12 @@ def test_convergence_on_run_dir(checkpoint, capsys):
     assert t == "1" and float(sq) >= 0 and float(avg) >= 0 and np.isfinite(float(bound))
 
 
+@pytest.mark.parametrize("value", ["1", "7"])
+def test_convergence_names_the_calibrate_at_flag(checkpoint, capsys, value):
+    assert main(["convergence", "--run", str(checkpoint), "--calibrate-at", value]) == 1
+    assert capsys.readouterr().err == f"error: --calibrate-at must be in [2, 6], got {value}\n"
+
+
 def test_convergence_needs_steps_csv(tmp_path, capsys):
     assert main(["convergence", "--run", str(tmp_path)]) == 1
     assert "steps.csv" in capsys.readouterr().err
@@ -285,7 +291,9 @@ def _never_called(*args, **kwargs):
     raise AssertionError("the work ran before the output path was checked")
 
 
-@pytest.mark.parametrize("command", ["export-data", "shapley-audit", "landscape", "train"])
+@pytest.mark.parametrize("command", ["export-data", "shapley-audit", "landscape", "train",
+                                     "shapley-audit:dir", "landscape:csv-dir",
+                                     "landscape:json-dir"])
 def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatch, command):
     for module, name in (("msam.harness", "train_step"), ("msam.cli", "landscape_grid"),
                          ("msam.cli", "attribute_batch")):
@@ -295,17 +303,27 @@ def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatc
                                 "n_train": 4, "n_val": 2, "n_test": 2, "seed": 0}))
     cfg, _ = write_config(tmp_path)
     (tmp_path / "file").write_text("")
+    # a copy of the checkpoint whose output paths are existing directories
+    run = tmp_path / "run"
+    shutil.copytree(checkpoint, run)
+    for name in ("audit.csv", "landscape_c.csv", "landscape_j.json"):
+        (run / name).mkdir()
     argv = {
         "export-data": ["--spec", str(spec), "--out", str(tmp_path / "missing" / "x.bin")],
         "shapley-audit": ["--checkpoint", str(checkpoint),
                           "--out", str(tmp_path / "missing" / "a.csv")],
         "landscape": ["--checkpoint", str(checkpoint), "--res", "3", "--tag", "a/b"],
         "train": ["--config", str(cfg), "--out-dir", str(tmp_path / "file" / "x")],
+        "shapley-audit:dir": ["--checkpoint", str(run), "--out", str(run / "audit.csv")],
+        "landscape:csv-dir": ["--checkpoint", str(run), "--res", "3", "--tag", "c"],
+        "landscape:json-dir": ["--checkpoint", str(run), "--res", "3", "--tag", "j"],
     }[command]
     before = sorted(tmp_path.rglob("*")) + sorted(checkpoint.rglob("*"))
-    assert main([command, *argv]) == 1
+    assert main([command.split(":")[0], *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if command.endswith("dir"):
+        assert "Is a directory" in err
     assert sorted(tmp_path.rglob("*")) + sorted(checkpoint.rglob("*")) == before
 
 

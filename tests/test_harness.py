@@ -294,6 +294,35 @@ def test_msam_pass_budget_per_shapley_target(kind, target):
                                     counters["taped"], counters["masked_forward"])
 
 
+def test_epoch_record_reads_one_partial_cache_per_split(monkeypatch):
+    """At M = 8 one eval epoch runs each split's branches twice (inputs and
+    zeros), not M + 1 full forwards per split, counts 3 * (M + 1) masked
+    forwards and gives the uncached forwards' numbers."""
+    raw = tiny_raw(data={"classes": 3, "dims": [2] * 8, "snr": [1.0] * 8,
+                         "n_train": 16, "n_val": 8, "n_test": 8},
+                   model={"hidden": [3], "fusion": "late", "width": 3})
+    cfg = resolve_config(raw)
+    model, splits = harness._new_model(cfg), harness.generate(cfg.data)
+    report = harness.StepReport(t=0, loss=1.0, grad_norm=1.0, eps_norm=0.0, lr=0.1, rho=0.0)
+    calls = []
+    branches = harness.MultimodalModel._branches
+
+    def counted(self, *args):
+        calls.append(len(args[0][0]))
+        return branches(self, *args)
+
+    monkeypatch.setattr(harness.MultimodalModel, "_branches", counted)
+    masked0 = model.counters["masked_forward"]
+    rec = harness._epoch_record(model, splits, 0, [report])
+    assert calls == [ds.n for ds in splits for _ in range(2)]
+    assert model.counters["masked_forward"] - masked0 == 3 * 9
+    for ds in splits:
+        assert (rec.loss[ds.split], rec.acc[ds.split]) == harness.evaluate(
+            model, ds.modalities, ds.labels)
+        assert rec.mono_acc[ds.split] == tuple(
+            harness.mono_modal_accuracy(model, ds.modalities, ds.labels, m) for m in range(8))
+
+
 def test_run_writes_artifacts(tmp_path):
     out = tmp_path / "run1"
     cfg = resolve_config(tiny_raw(out_dir=str(out)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from msam import metrics
 from msam.errors import NumericError, UsageError
 from msam.metrics import (convergence_report, landscape_grid, landscape_grid_flat,
                           mono_modal_accuracy, overfitting_gap, relative_gain,
@@ -65,6 +66,25 @@ def test_rejected_coalition_is_not_counted():
     with pytest.raises(UsageError):
         mono_modal_accuracy(model, xs, labels, 2)
     assert model.counters == before
+
+
+def test_plain_evaluation_builds_no_branch_cache(monkeypatch):
+    """The landscape and sharpness loops time direct forwards: none of
+    `evaluate`, `landscape_grid` or `sharpness_proxy` may go through a
+    coalition cache."""
+    model = MultimodalModel([EncoderSpec(3, (4,)), EncoderSpec(2, (4,))],
+                            FusionSpec("early", width=4), classes=3, seed=1)
+    xs = [Rng(40).normal((10, 3)), Rng(41).normal((10, 2))]
+    labels = Rng(42).integers(3, 10)
+
+    def no_cache(*args, **kwargs):
+        raise AssertionError("plain evaluation built a branch cache")
+
+    monkeypatch.setattr(MultimodalModel, "branch_cache", no_cache)
+    metrics.evaluate(model, xs, labels)
+    landscape_grid(model, xs, labels, 3, 0.1, Rng(1))
+    sharpness_proxy(model, xs, labels, 0.1, 2, Rng(2))
+    assert model.counters["masked_forward"] == 1 + 9 + 3
 
 
 # ------------------------------------------------------------------- landscape

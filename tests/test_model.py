@@ -234,6 +234,56 @@ def test_stale_branch_cache_is_rejected():
         m.forward_masked(xs, {0}, cache=cache)
 
 
+@st.composite
+def partial_cache_cases(draw):
+    """A random model (either fusion, 1-5 modalities, 0-2 hidden layers, relu
+    or tanh, bias on or off, parameters scaled by 1 or by 1e160 so that
+    logits overflow), a batch of 1-600 rows and a list of distinct masks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_modalities = draw(st.integers(1, 5))
+    m = random_model(rng, n_modalities, draw(st.sampled_from(["early", "late"])),
+                     draw(st.sampled_from(["relu", "tanh"])), draw(st.booleans()))
+    flat = m.params.flatten()
+    m.params.load_flat(draw(st.sampled_from([1.0, 1e160])) * (flat + rng.normal(size=flat.size)))
+    xs, _ = make_batch(m, n=draw(st.integers(1, 600)), seed=int(rng.integers(1000)))
+    masks = draw(st.lists(st.integers(0, (1 << n_modalities) - 1), min_size=1, unique=True))
+    return m, xs, masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_cache_cases())
+def test_partial_cache_rows_are_bitwise_equal(case):
+    m, xs, masks = case
+    cache = m.branch_cache(xs, masks)
+    assert cache.table.shape == (len(masks), len(xs[0]), m.classes)
+    with np.errstate(all="ignore"):
+        for mask in range(1 << m.n_modalities):
+            keep = [k for k in range(m.n_modalities) if mask >> k & 1]
+            before = dict(m.counters)
+            if mask not in masks:
+                with pytest.raises(UsageError, match="not in the branch cache"):
+                    m.forward_masked(xs, keep, cache=cache)
+                assert m.counters == before
+                continue
+            cached = m.forward_masked(xs, keep, cache=cache)
+            assert m.counters["masked_forward"] == before["masked_forward"] + 1
+            assert cached.tobytes() == m.forward_masked(xs, keep).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                cached[...] = 0.0
+
+
+@pytest.mark.parametrize("masks, message", [
+    ([], "empty"), ([0, 4], "mask 4 outside"), ([-1], "mask -1 outside"),
+    ([1, 3, 1], "repeat")])
+def test_partial_cache_rejects_bad_mask_lists(masks, message):
+    m = late_model()
+    xs, _ = make_batch(m)
+    before = dict(m.counters)
+    with pytest.raises(UsageError, match=message):
+        m.branch_cache(xs, masks)
+    assert m.counters == before
+
+
 def test_masked_term_grads_vanish_off_coalition():
     m = late_model(bias=False)
     xs, labels = make_batch(m)
