@@ -25,12 +25,16 @@ Array = np.ndarray
 class ParameterVector:
     """Ordered named parameters in one flat read-only float64 buffer.
 
-    Each name reads through a read-only reshaped view of the buffer.
-    `flatten`/`load_flat` round-trip exactly (same order, same bytes), which is
-    what optimizers rely on to snapshot and restore parameters bitwise.
-    `load_flat` swaps in a fresh buffer instead of writing into the old one,
-    so arrays handed out earlier keep their values. Every stored value is
-    finite: construction and `load_flat` share one check.
+    Each name reads through a read-only reshaped view of the buffer, built
+    the first time it is asked for. `add_stack` registers same-shape
+    parameters that sit at one constant stride as a stacked view, one item
+    per parameter; `stacks` holds those views for the current buffer, built
+    once per buffer. `flatten`/`load_flat` round-trip exactly (same order,
+    same bytes), which is what optimizers rely on to snapshot and restore
+    parameters bitwise. `load_flat` swaps in a fresh buffer instead of
+    writing into the old one, so arrays handed out earlier keep their
+    values. Every stored value is finite: construction and `load_flat`
+    share one check.
     """
 
     def __init__(self, named: Sequence[tuple[str, npt.ArrayLike]]):
@@ -39,6 +43,8 @@ class ParameterVector:
         self._names: list[str] = []
         self._shapes: dict[str, tuple[int, ...]] = {}
         self._slices: dict[str, slice] = {}
+        self._stack_specs: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
+        self.stacks: tuple[Array, ...] = ()
         parts = []
         off = 0
         for name, values in named:
@@ -59,7 +65,10 @@ class ParameterVector:
 
     def view(self, name: str) -> Array:
         """Read-only array view of one named parameter."""
-        return self._views[name]
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = self._flat[self._slices[name]].reshape(self._shapes[name])
+        return view
 
     def slice_of(self, name: str) -> slice:
         return self._slices[name]
@@ -77,8 +86,34 @@ class ParameterVector:
             raise NumericError("parameters must be finite")
         flat.setflags(write=False)
         self._flat = flat
-        self._views = {name: flat[self._slices[name]].reshape(self._shapes[name])
-                       for name in self._names}
+        self._views: dict[str, Array] = {}
+        self.stacks = self.stack_views(flat)
+
+    def add_stack(self, names: Sequence[str], item_shape: tuple[int, ...] | None = None) -> int:
+        """Register the parameters `names` as one stacked view and return its
+        index in `stacks`. They must share a shape and sit at one constant
+        stride in the buffer; item r of the view is `names[r]`, reshaped to
+        `item_shape` (default: the parameters' own shape)."""
+        shape = self._shapes[names[0]]
+        item_shape = shape if item_shape is None else tuple(item_shape)
+        starts = [self._slices[name].start for name in names]
+        stride = starts[1] - starts[0] if len(starts) > 1 else 0
+        if (any(self._shapes[name] != shape for name in names)
+                or starts != [starts[0] + r * stride for r in range(len(starts))]
+                or math.prod(item_shape) != math.prod(shape)):
+            raise UsageError(f"parameters {list(names)} do not form one stack")
+        inner = tuple(8 * math.prod(item_shape[i + 1:]) for i in range(len(item_shape)))
+        spec = ((len(names), *item_shape), 8 * starts[0], (8 * stride, *inner))
+        self._stack_specs.append(spec)
+        self.stacks += (np.ndarray(spec[0], np.float64, self._flat, *spec[1:]),)
+        return len(self.stacks) - 1
+
+    def stack_views(self, buffer: Array) -> tuple[Array, ...]:
+        """The registered stacked views into `buffer`, a C-contiguous float64
+        array of this vector's size, such as a gradient; each view is
+        writable if `buffer` is."""
+        return tuple(np.ndarray(shape, np.float64, buffer, offset, strides)
+                     for shape, offset, strides in self._stack_specs)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .autodiff import grad_check
 from .data import batches, generate, save_dataset
 from .errors import ConfigError, MsamError, NumericError
 from .harness import (
+    SEEDS,
     ExperimentConfig,
     _new_model,
     compare,
@@ -144,12 +145,19 @@ def _cmd_landscape(args) -> int:
     config, model, (train, _val, _test) = load_checkpoint(args.checkpoint)
     split = {"train": train, "val": _val, "test": _test}[args.split]
     seed = config.seed if args.seed is None else args.seed
+    if seed not in SEEDS:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
     out_dir = Path(args.checkpoint)
     csv_path = out_dir / f"landscape_{args.tag}.csv"
     json_path = out_dir / f"landscape_{args.tag}.json"
     _check_writable(csv_path, json_path)
     rng = Rng(derive_seed(seed, 4))
-    grid = landscape_grid(model, split.modalities, split.labels, args.res, args.radius, rng)
+    try:
+        grid = landscape_grid(model, split.modalities, split.labels, args.res, args.radius, rng)
+    except NumericError as err:  # name the flag the user typed, not the argument
+        if str(err).startswith("radius "):
+            raise NumericError(f"--{err}") from None
+        raise
     write_csv(csv_path, ["alpha\\beta", *grid.betas],
               ([a, *losses] for a, losses in zip(grid.alphas, grid.losses)))
     write_json(json_path, {

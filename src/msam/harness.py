@@ -15,11 +15,12 @@ same rows, is itself a valid config, is what gets hashed (minus the output
 directory), and is what `run` writes back out to each run directory, so a
 run directory doubles as a reloadable checkpoint.
 
-A run is deterministic end to end per seed: data generation, model init,
-per-epoch shuffles, and every optimizer step use independent streams derived
-from the one seed. The training loop asserts the optimizer pass budget every
-step (one taped pass for SGD, two for perturbed SAM/M-SAM steps, plus the
-2**M or 2**M - 1 masked forwards of a Shapley recomputation).
+A run is deterministic end to end per seed, an integer in [0, 2**64): data
+generation, model init, per-epoch shuffles, and every optimizer step use
+independent streams derived from the one seed. The training loop asserts the
+optimizer pass budget every step (one taped pass for SGD, two for perturbed
+SAM/M-SAM steps, plus the 2**M or 2**M - 1 masked forwards of a Shapley
+recomputation).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ from .shapley import MAX_PLAYERS
 from .tensor import derive_seed
 
 Array = np.ndarray
+
+# The seeds a run accepts: every stream reads a seed as a 64-bit word, so
+# any other integer would alias one of these.
+SEEDS = range(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -143,13 +148,17 @@ def _distinct_kinds(kinds: list[str]) -> str | None:
     return None if ok else f"must list distinct optimizer kinds from {KINDS}"
 
 
+def _seed(x: int) -> str | None:
+    return None if x in SEEDS else "must be in [0, 2**64)"
+
+
 _REQUIRED = object()  # the default of a key that must be given
 
 # One row per config field: (dotted path, type, default, check). The sections
 # are the paths' prefixes. Only the fields that no spec dataclass holds have a
 # check; the dataclasses check the rest, and `resolve_config` names the path.
 _SCHEMA = (
-    ("seed", _INT, 0, None),
+    ("seed", _INT, 0, _seed),
     ("epochs", _INT, 5, _at_least(1)),
     ("batch_size", _INT, 32, _at_least(1)),
     ("eval_every", _INT, 1, _at_least(1)),

@@ -139,6 +139,11 @@ def landscape_grid_flat(
             break
         else:
             raise NumericError("could not draw non-degenerate landscape directions in 5 attempts")
+    # each coordinate's largest grid value sits at a corner, where it is this reach
+    with np.errstate(over="ignore"):
+        reach = np.abs(theta) + radius * (np.abs(d1) + np.abs(d2))
+    if not np.isfinite(reach).all():
+        raise NumericError(f"radius {radius!r} takes the grid outside the finite float range")
     mid = resolution // 2
     alphas = np.linspace(-radius, radius, resolution)
     betas = np.linspace(-radius, radius, resolution)

@@ -13,6 +13,21 @@ apply a hand-written backward to the activations it records. A coalition is
 always the set of modalities that stay active: everything else has its
 inputs zeroed before encoding.
 
+The layer table, built once in `__init__`, groups consecutive modalities
+with equal `EncoderSpec` into runs. Their parameter blocks are equal, so each
+layer role of a run (`enc{m}.l{i}`, and under late fusion `head{m}.l0` and
+`head{m}.l1`) sits at one stride in the flat buffer, and
+`ParameterVector.stacks` views it as (R, fan_in, fan_out) without a copy.
+Each layer of a run is then one 3-D `np.matmul`, forward and backward; only
+a run's first layer, whose inputs are the separate modality arrays, runs one
+product per modality into its slice of one stack. The maxout pieces form one
+more stack and the output layer a stack of one. Biases and activations are
+applied in place. numpy runs a 3-D matmul as one 2-D product per item, so
+every logit and gradient bit equals the branch run alone. A model whose
+modalities all differ is a set of runs of length 1. A checked pass computes
+a run's layers and then names the first non-finite one in per-branch order:
+every encoder by modality, then the heads, which is the parameter order.
+
 A modality's branch (its encoder and, under late fusion, its head) sees only
 its own input, so `branch_cache` runs each branch once on the input and once
 on zeros and builds from their outputs a table of coalition logits by fusion
@@ -42,8 +57,6 @@ from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .tensor import Rng, derive_seed
 
 Array = np.ndarray
-# every modality's branch: (acts, hidden, logits), see `MultimodalModel._branches`
-Branches = tuple[list[list[Array]], list[Array] | None, list[Array] | None]
 
 ACTIVATIONS = ("relu", "tanh")
 FUSIONS = ("early", "late")
@@ -96,16 +109,41 @@ class FusionSpec:
 class ForwardTrace:
     """Intermediate values of one taped forward pass, as `_backward` reads them.
 
-    `acts[m]` is modality m's masked input followed by the activation of each
-    of its encoder layers. `hidden` holds each late-fusion head's hidden
-    activation, or for early fusion the concatenated features and the stacked
-    maxout pieces. `fused` is the maxout output (early) or the logits (late).
+    `acts[g]` is run g's branch, see `MultimodalModel._branches`. `hidden`
+    holds, for early fusion, the concatenated features and the stacked
+    maxout pieces, and is None for late fusion. `fused` is the maxout output
+    (early) or the logits (late).
     """
 
-    acts: list[list[Array]]
-    hidden: list[Array]
+    acts: list[list] | None
+    hidden: list[Array] | None
     fused: Array
     logits: Array
+
+
+class _Layer(NamedTuple):
+    """One layer role across a run of R same-shape branches, or an early
+    fusion head layer (the maxout pieces as R items, the output layer as
+    one). `params.stacks[w]` is its (R, fan_in, fan_out) weight
+    view and, with biases, `params.stacks[w + 1]` its (R, 1, fan_out) bias
+    view; `names[r]` is the layer's name in item r. `act` names the
+    activation that follows it, None for none."""
+
+    names: tuple[str, ...]
+    w: int
+    act: str | None
+
+
+class _Run(NamedTuple):
+    """Consecutive modalities [start, stop) that share one EncoderSpec. Their
+    branch is one chain of `layers`: each encoder layer, then under late
+    fusion the head's hidden and output layer. `cols` are the run's columns
+    of the early-fusion features."""
+
+    start: int
+    stop: int
+    layers: tuple[_Layer, ...]
+    cols: slice
 
 
 class BranchCache(NamedTuple):
@@ -127,10 +165,14 @@ class BranchCache(NamedTuple):
 
 
 def _relu(z: Array) -> Array:
-    return np.maximum(z, 0.0)
+    return np.maximum(z, 0.0, out=z)
 
 
-_ACT = {"relu": _relu, "tanh": np.tanh}
+def _tanh(z: Array) -> Array:
+    return np.tanh(z, out=z)
+
+
+_ACT = {"relu": _relu, "tanh": _tanh}  # each applied in place
 
 
 def _act_backward(name: str, g: Array, a: Array) -> Array:
@@ -224,29 +266,57 @@ class MultimodalModel:
         self.bias = bias
         self.seed = seed
         self.counters = {"taped": 0, "masked_forward": 0}
+        # the layer table: runs of consecutive modalities with equal specs,
+        # each with its layer roles (per-item names, fan-in, fan-out,
+        # activation) and its columns of the early-fusion features
+        spans: list[list[int]] = []
+        for m, es in enumerate(self.encoders):
+            if m and es == self.encoders[m - 1]:
+                spans[-1][1] += 1
+            else:
+                spans.append([m, m + 1])
+        table, lo = [], 0
+        for start, stop in spans:
+            es, ms = self.encoders[start], range(start, stop)
+            dims = (es.in_dim, *es.hidden)
+            enc = [(tuple(f"enc{m}.l{i}" for m in ms), dims[i], dims[i + 1], es.activation)
+                   for i in range(len(es.hidden))]
+            head = [(tuple(f"head{m}.l0" for m in ms), es.out_dim, fusion.width, es.activation),
+                    (tuple(f"head{m}.l1" for m in ms), fusion.width, classes, None)]
+            table.append((start, stop, enc, head if fusion.mode == "late" else [],
+                          slice(lo, lo + len(ms) * es.out_dim)))
+            lo += len(ms) * es.out_dim
+        fuse = [] if fusion.mode == "late" else [
+            (tuple(f"fusion.p{j}" for j in range(fusion.pieces)), lo, fusion.width, None),
+            (("head.out",), fusion.width, classes, None)]
+        # parameter order: every encoder by modality, then every head by
+        # modality (late), or the maxout pieces and the output layer (early)
+        blocks = ([(stop - start, enc) for start, stop, enc, _, _ in table]
+                  + [(stop - start, head) for start, stop, _, head, _ in table]
+                  + [(len(role[0]), [role]) for role in fuse])
         rng = Rng(derive_seed(seed, 1))
         items: list[tuple[str, Array]] = []
-
-        def linear(name: str, fan_in: int, fan_out: int):
-            items.append((f"{name}.w", rng.normal((fan_in, fan_out)) * fan_in**-0.5))
-            if bias:
-                items.append((f"{name}.b", np.zeros(fan_out)))
-
-        for m, es in enumerate(self.encoders):
-            prev = es.in_dim
-            for i, h in enumerate(es.hidden):
-                linear(f"enc{m}.l{i}", prev, h)
-                prev = h
-        if fusion.mode == "late":
-            for m, es in enumerate(self.encoders):
-                linear(f"head{m}.l0", es.out_dim, fusion.width)
-                linear(f"head{m}.l1", fusion.width, classes)
-        else:
-            total = sum(es.out_dim for es in self.encoders)
-            for j in range(fusion.pieces):
-                linear(f"fusion.p{j}", total, fusion.width)
-            linear("head.out", fusion.width, classes)
+        for count, group in blocks:
+            for r in range(count):
+                for names, fan_in, fan_out, _ in group:
+                    items.append((f"{names[r]}.w", rng.normal((fan_in, fan_out)) * fan_in**-0.5))
+                    if bias:
+                        items.append((f"{names[r]}.b", np.zeros(fan_out)))
         self.params = ParameterVector(items)
+
+        def layer(names: tuple[str, ...], fan_in: int, fan_out: int, act: str | None) -> _Layer:
+            w = self.params.add_stack([f"{name}.w" for name in names])
+            if bias:
+                self.params.add_stack([f"{name}.b" for name in names], (1, fan_out))
+            return _Layer(names, w, act)
+
+        self._runs = tuple(_Run(start, stop, tuple(layer(*role) for role in enc + head), cols)
+                           for start, stop, enc, head, cols in table)
+        self._fusion_layers = tuple(layer(*role) for role in fuse)
+        self._piece_ids = np.arange(fusion.pieces)[:, None, None]
+        # every backward writes each parameter's slice of this buffer once
+        self._grad = np.zeros(self.params.size)
+        self._grad_stacks = self.params.stack_views(self._grad)
 
     @property
     def n_modalities(self) -> int:
@@ -272,102 +342,135 @@ class MultimodalModel:
             raise UsageError("batch must be non-empty")
         return out
 
-    def _linear(self, h: Array, name: str, checked: bool) -> Array:
-        z = h @ self.params.view(f"{name}.w")
+    def _finish(self, z: Array, layer: _Layer, bad: list[str] | None) -> None:
+        """Complete a stacked layer output in place: add the biases, note in
+        `bad` (a checked pass) each item's non-finite layer name, then apply
+        the activation."""
         if self.bias:
-            z = z + self.params.view(f"{name}.b")
-        if checked and not np.isfinite(z).all():
-            raise NumericError(f"layer {name} produced non-finite values")
-        return z
+            z += self.params.stacks[layer.w + 1]
+        if bad is not None and not np.isfinite(z).all():
+            finite = np.isfinite(z).all(axis=(1, 2))
+            bad += [name for name, ok in zip(layer.names, finite) if not ok]
+        if layer.act is not None:
+            _ACT[layer.act](z)
 
-    def _branches(self, inputs: list[Array], checked: bool) -> Branches:
-        """Every modality's branch on `inputs`: (acts, hidden, logits).
+    def _raise_first(self, bad: list[str]) -> None:
+        """NumericError naming the first non-finite layer in `bad`, in the
+        order of a per-layer pass: the encoders by modality, then the heads,
+        which is the parameter order."""
+        first = min(bad, key=lambda name: self.params.slice_of(f"{name}.w").start)
+        raise NumericError(f"layer {first} produced non-finite values")
 
-        `acts[m]` is modality m's input and each encoder layer's activation.
-        Under late fusion `hidden[m]` and `logits[m]` are its head's hidden
-        activation and logits; under early fusion both are None. Every
-        encoder runs before any head, which fixes the layer that a checked
-        pass names first.
+    def _branches(self, inputs: list[Array], checked: bool) -> list[list]:
+        """Every run's branch on `inputs`, one list per run: the run's inputs
+        (one array per modality), then each layer's output stacked as
+        (R, N, width). Under late fusion the last two are the heads' hidden
+        activation and logits; under early fusion the last is the features
+        (the inputs themselves for identity encoders).
+
+        The first layer of a run writes each modality's product into its
+        item of one stack; every later layer is one 3-D matmul, which numpy
+        runs as one 2-D product per item, so each item's bits equal that
+        branch run alone. With `checked`, the first non-finite layer output
+        in per-branch order (every encoder, then every head) raises
+        NumericError naming it.
         """
-        acts = []
-        for m, es in enumerate(self.encoders):
-            act = _ACT[es.activation]
-            a = [inputs[m]]
-            for i in range(len(es.hidden)):
-                a.append(act(self._linear(a[-1], f"enc{m}.l{i}", checked)))
-            acts.append(a)
-        if self.fusion.mode == "early":
-            return acts, None, None
-        hidden, logits = [], []
-        for m, a in enumerate(acts):
-            h = _ACT[self.encoders[m].activation](self._linear(a[-1], f"head{m}.l0", checked))
-            hidden.append(h)
-            logits.append(self._linear(h, f"head{m}.l1", checked))
-        return acts, hidden, logits
+        stacks, n = self.params.stacks, len(inputs[0])
+        bad = [] if checked else None
+        runs = []
+        for run in self._runs:
+            a = inputs[run.start:run.stop]
+            acts = [a]
+            for layer in run.layers:
+                w = stacks[layer.w]
+                if len(acts) == 1:  # the inputs are separate arrays, one per modality
+                    z = np.empty((len(w), n, w.shape[2]))
+                    for x, wr, zr in zip(a, w, z):
+                        np.matmul(x, wr, out=zr)
+                else:
+                    z = np.matmul(a, w)
+                self._finish(z, layer, bad)
+                a = z
+                acts.append(z)
+            runs.append(acts)
+        if bad:
+            self._raise_first(bad)
+        return runs
 
-    def _fuse(self, acts: list[list[Array]], hidden: list[Array] | None,
-              branch_logits: list[Array] | None, checked: bool) -> ForwardTrace:
-        """Fusion of the branches: the late heads' logits summed in modality
-        order, or the early maxout head on the concatenated features. After
-        `_branches` this completes the layer stack; with `checked`, the first
+    def _fuse(self, acts: list[list] | None, outs: list[Array], checked: bool) -> ForwardTrace:
+        """Fusion of the branch outputs `outs`, one per modality: the late
+        heads' logits summed in modality order, or the early maxout head on
+        the concatenated features. After `_branches` (whose `acts` the trace
+        keeps) this completes the layer stack; with `checked`, the first
         non-finite linear layer output raises NumericError naming it."""
-        if branch_logits is not None:
+        if self.fusion.mode == "late":
             logits = None
-            for out in branch_logits:
+            for out in outs:
                 logits = out if logits is None else logits + out
-            return ForwardTrace(acts, hidden, logits, logits)
-        joint = np.concatenate([a[-1] for a in acts], axis=1)
-        pieces = np.stack(
-            [self._linear(joint, f"fusion.p{j}", checked) for j in range(self.fusion.pieces)], axis=0)
+            return ForwardTrace(acts, None, logits, logits)
+        stacks, (pieces_layer, out_layer) = self.params.stacks, self._fusion_layers
+        bad = [] if checked else None
+        joint = np.concatenate(outs, axis=1)
+        pieces = np.matmul(joint, stacks[pieces_layer.w])
+        self._finish(pieces, pieces_layer, bad)
         fused = pieces.max(axis=0)
-        logits = self._linear(fused, "head.out", checked)
-        return ForwardTrace(acts, [joint, pieces], fused, logits)
+        logits = np.matmul(fused, stacks[out_layer.w][0])[None]
+        self._finish(logits, out_layer, bad)
+        if bad:
+            self._raise_first(bad)
+        return ForwardTrace(acts, [joint, pieces], fused, logits[0])
+
+    def _forward(self, inputs: list[Array], checked: bool) -> ForwardTrace:
+        """The whole layer stack on `inputs`: every branch, then the fusion."""
+        acts = self._branches(inputs, checked)
+        return self._fuse(acts, [out for run in acts for out in run[-1]], checked)
 
     def _backward(self, trace: ForwardTrace, g: Array) -> Array:
         """Flat parameter gradient of one term, given its logit gradient `g`.
 
-        Each parameter is used once per term, so every slice is written once.
-        Maxout routes a tie to its lowest piece. The pieces' gradients reach
-        the concatenated features last piece first: floating-point sums
-        depend on order, and this one is pinned by the golden gradient bytes.
+        Each parameter is used once per term, so every slice is written once,
+        through the stacked views of one gradient buffer; each weight
+        gradient is one 3-D matmul per layer, or one product per modality at
+        a run's first layer. Maxout routes a tie to its lowest piece. The
+        pieces' gradients reach the concatenated features last piece first:
+        floating-point sums depend on order, and this one is pinned by the
+        golden gradient bytes.
         """
-        flat = np.zeros(self.params.size, dtype=np.float64)
-        view, slice_of = self.params.view, self.params.slice_of
-
-        def linear_grads(name: str, h: Array, gz: Array) -> None:
-            flat[slice_of(f"{name}.w")] = (h.T @ gz).ravel()
-            if self.bias:
-                flat[slice_of(f"{name}.b")] = gz.sum(axis=0)
-
+        stacks, grads, n = self.params.stacks, self._grad_stacks, len(g)
         if self.fusion.mode == "late":
-            g_feats = []
-            for m, es in enumerate(self.encoders):
-                h = trace.hidden[m]
-                linear_grads(f"head{m}.l1", h, g)
-                gz = _act_backward(es.activation, g @ view(f"head{m}.l1.w").T, h)
-                linear_grads(f"head{m}.l0", trace.acts[m][-1], gz)
-                g_feats.append(gz @ view(f"head{m}.l0.w").T if es.hidden else None)
+            g_runs = [g] * len(self._runs)  # every head's logits get the full gradient
         else:
             joint, pieces = trace.hidden
-            linear_grads("head.out", trace.fused, g)
-            g_fused = g @ view("head.out.w").T
-            arg = np.argmax(pieces, axis=0)
-            g_joint = None
-            for j in reversed(range(self.fusion.pieces)):
-                gj = g_fused * (arg == j)
-                linear_grads(f"fusion.p{j}", joint, gj)
-                contrib = gj @ view(f"fusion.p{j}.w").T
-                g_joint = contrib if g_joint is None else g_joint + contrib
-            bounds = np.cumsum([0] + [es.out_dim for es in self.encoders])
-            g_feats = [g_joint[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        for m, es in enumerate(self.encoders):
-            g = g_feats[m]
-            for i in reversed(range(len(es.hidden))):
-                gz = _act_backward(es.activation, g, trace.acts[m][i + 1])
-                linear_grads(f"enc{m}.l{i}", trace.acts[m][i], gz)
+            pieces_layer, out_layer = self._fusion_layers
+            np.matmul(trace.fused.T, g, out=grads[out_layer.w][0])
+            if self.bias:
+                np.sum(g, axis=0, out=grads[out_layer.w + 1][0, 0])
+            g_fused = g @ stacks[out_layer.w][0].T
+            gz = g_fused * (np.argmax(pieces, axis=0) == self._piece_ids)
+            np.matmul(joint.T, gz, out=grads[pieces_layer.w])
+            if self.bias:
+                np.sum(gz, axis=1, keepdims=True, out=grads[pieces_layer.w + 1])
+            contrib = np.matmul(gz, stacks[pieces_layer.w].transpose(0, 2, 1))
+            g_joint = contrib[-1]
+            for c in contrib[-2::-1]:
+                g_joint = g_joint + c
+            g_runs = [g_joint[:, run.cols].reshape(n, run.stop - run.start, -1).transpose(1, 0, 2)
+                      for run in self._runs]
+        for run, acts, g in zip(self._runs, trace.acts, g_runs):
+            for i in reversed(range(len(run.layers))):
+                layer, h = run.layers[i], acts[i]
+                gz = g if layer.act is None else _act_backward(layer.act, g, acts[i + 1])
+                gw = grads[layer.w]
                 if i:
-                    g = gz @ view(f"enc{m}.l{i}.w").T
-        return flat
+                    np.matmul(h.transpose(0, 2, 1), gz, out=gw)
+                else:
+                    for x, gzr, gwr in zip(h, gz, gw):
+                        np.matmul(x.T, gzr, out=gwr)
+                if self.bias:  # a late head's logit gradient g is one (N, C) for every item
+                    grads[layer.w + 1][...] = gz.sum(axis=-2, keepdims=True)
+                if i:
+                    g = np.matmul(gz, stacks[layer.w].transpose(0, 2, 1))
+        return self._grad.copy()
 
     def _value_and_grad(self, xs: Sequence[Array], labels: Array, terms) -> tuple[float, Array]:
         """Weighted sum of masked mean cross-entropies and its flat gradient.
@@ -386,8 +489,7 @@ class MultimodalModel:
         loss, passes, grad = None, [], None
         with np.errstate(over="ignore", invalid="ignore"):
             for keep, weight in terms:
-                masked = mask_inputs(xs, keep, self.n_modalities)
-                trace = self._fuse(*self._branches(masked, True), True)
+                trace = self._forward(mask_inputs(xs, keep, self.n_modalities), True)
                 w = 1.0 if weight is None else float(weight)
                 value, g = _cross_entropy(trace.logits, labels, onehot, w)
                 loss = value if loss is None else loss + value
@@ -404,11 +506,10 @@ class MultimodalModel:
         return float(loss), grad
 
     def _branch_outputs(self, inputs: list[Array]) -> list[Array]:
-        """Each branch's output on `inputs`: its head's logits under late
-        fusion, its last encoder activation under early fusion. The other
-        activations are dropped on return."""
-        acts, _, logits = self._branches(inputs, False)
-        return logits if logits is not None else [a[-1] for a in acts]
+        """Each branch's output on `inputs`, one array per modality: its
+        head's logits under late fusion, its features under early fusion.
+        The other activations are dropped on return."""
+        return [out for run in self._branches(inputs, False) for out in run[-1]]
 
     def branch_cache(self, xs: Sequence[Array], masks: Sequence[int] | None = None) -> BranchCache:
         """Coalition logits on this batch, from 2M branch passes.
@@ -458,10 +559,7 @@ class MultimodalModel:
             else:
                 for i, k in enumerate(order):
                     outs = [sides[k >> m & 1][m] for m in range(self.n_modalities)]
-                    if self.fusion.mode == "late":
-                        table[i] = self._fuse([], None, outs, False).logits
-                    else:
-                        table[i] = self._fuse([[o] for o in outs], None, None, False).logits
+                    table[i] = self._fuse(None, outs, False).logits
         table.flags.writeable = False  # its rows are handed out as logits
         rows = None if masks is None else {k: i for i, k in enumerate(masks)}
         return BranchCache(self, self.params._flat, tuple(xs), table, rows)
@@ -496,8 +594,7 @@ class MultimodalModel:
             return cache.table[row]
         self.counters["masked_forward"] += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            masked = mask_inputs(xs64, keep, self.n_modalities)
-            return self._fuse(*self._branches(masked, False), False).logits
+            return self._forward(mask_inputs(xs64, keep, self.n_modalities), False).logits
 
     def forward(self, xs: Sequence[Array]) -> Array:
         """Logits of a plain forward with every modality active."""

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from msam import harness
 
@@ -7,6 +7,8 @@ from msam import harness
 # database and has no deadline, so a slow, shared machine cannot flake it.
 settings.register_profile("msam", derandomize=True, database=None, deadline=None)
 settings.load_profile("msam")
+# `--hypothesis-profile msam-explicit` runs only the explicit @example cases
+settings.register_profile("msam-explicit", settings.get_profile("msam"), phases=[Phase.explicit])
 
 
 @pytest.fixture(scope="session")

@@ -265,6 +265,27 @@ def test_parameter_vector_buffers_are_immutable():
     assert params.view("b").shape == ()
 
 
+def test_parameter_vector_stacks_follow_the_buffer():
+    rng = Rng(15)
+    params = ad.ParameterVector([("a.w", rng.normal((2, 3))), ("a.b", rng.normal((3,))),
+                                 ("c.w", rng.normal((2, 3))), ("c.b", rng.normal((3,)))])
+    w, b = params.add_stack(["a.w", "c.w"]), params.add_stack(["a.b", "c.b"], (1, 3))
+    for _ in range(2):
+        assert params.stacks[w].shape == (2, 2, 3) and params.stacks[b].shape == (2, 1, 3)
+        assert_array_equal(params.stacks[w][1], params.view("c.w"))
+        assert_array_equal(params.stacks[b][0, 0], params.view("a.b"))
+        with pytest.raises(ValueError, match="read-only"):
+            params.stacks[w][0, 0, 0] = 1.0
+        params.load_flat(np.arange(params.size, dtype=np.float64))
+    grad = np.zeros(params.size)
+    params.stack_views(grad)[w][1] = 1.0  # views of another buffer write through
+    assert_array_equal(grad[params.slice_of("c.w")], 1.0)
+    assert grad.sum() == 6.0
+    for names in (["a.w", "a.b"], ["a.b", "c.b", "a.w"]):
+        with pytest.raises(UsageError, match="do not form one stack"):
+            params.add_stack(names)
+
+
 # ------------------------------------------------------------------ grad_check
 
 

@@ -81,6 +81,23 @@ def test_train_config_type_errors_exit_1(tmp_path, capsys, section, value, path)
     assert err.startswith(f"error: {path} must be ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(-2**64 + 1)])
+def test_out_of_range_seeds_exit_1(tmp_path, capsys, checkpoint, seed):
+    # a stream reads its seed mod 2**64, so -1 would silently alias 2**64 - 1
+    out = tmp_path / "run"
+    assert main(["train", "--preset", "default", "--seed", seed, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+    assert main(["landscape", "--checkpoint", str(checkpoint), "--seed", seed, "--tag", "s"]) == 1
+    assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+    assert not (checkpoint / "landscape_s.csv").exists()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0], "n_train": 4,
+                                "n_val": 2, "n_test": 2, "seed": int(seed)}))
+    assert main(["export-data", "--spec", str(spec), "--out", str(tmp_path / "x.bin")]) == 1
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+
 def test_train_config_that_is_not_an_object_exits_1(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")
@@ -170,6 +187,15 @@ def test_landscape_validation(checkpoint, tmp_path, capsys):
         assert "error: radius must be finite and >= 0" in capsys.readouterr().err
     assert main(["landscape", "--checkpoint", str(tmp_path / "empty")]) == 1
     assert main(["landscape", "--checkpoint", str(checkpoint), "--res", "4"]) == 1
+
+
+def test_landscape_radius_beyond_the_float_range_names_the_flag(checkpoint, capsys):
+    # the grid's corners overflow, which the parameter buffer would reject
+    assert main(["landscape", "--checkpoint", str(checkpoint), "--radius", "1e308",
+                 "--res", "3", "--tag", "r"]) == 2
+    assert capsys.readouterr().err == (
+        "numeric error: --radius 1e+308 takes the grid outside the finite float range\n")
+    assert not (checkpoint / "landscape_r.csv").exists()
 
 
 # ---------------------------------------------------------------------- audit

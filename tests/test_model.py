@@ -59,8 +59,8 @@ def test_parameter_count_early_fusion():
 def test_identity_encoder_feeds_raw_input():
     m = MultimodalModel([EncoderSpec(3)], FusionSpec("late", width=2), classes=2, bias=False)
     xs = [np.array([[1.0, -2.0, 0.5]])]
-    trace = m._fuse(*m._branches(xs, False), False)
-    assert_array_equal(trace.acts[0][-1], xs[0])
+    hidden = np.maximum(xs[0] @ m.params.view("head0.l0.w"), 0.0)
+    assert_array_equal(m.forward(xs), hidden @ m.params.view("head0.l1.w"))
 
 
 def test_init_is_seed_deterministic():
