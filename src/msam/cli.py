@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 for anything wrong with configs/flags/paths, and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import itertools
@@ -133,12 +134,29 @@ def _cmd_train(args) -> int:
 def _check_writable(*paths: Path) -> None:
     """Raise the OSError that writing each of `paths` would, before any work
     is done: an existing directory is IsADirectoryError, and the parent is
-    probed with an unnamed temporary file, so nothing is left behind."""
+    probed with an unnamed temporary file, so nothing is left behind. The
+    error names the path, not the probe."""
     for path in paths:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        with tempfile.TemporaryFile(dir=path.parent):
-            pass
+        try:
+            with tempfile.TemporaryFile(dir=path.parent):
+                pass
+        except OSError as err:
+            raise type(err)(err.errno, err.strerror, str(path)) from None
+
+
+@contextlib.contextmanager
+def _flag_names(**flags: str):
+    """Re-raise a library error whose message starts with one of the argument
+    names in `flags` as the same error naming the flag the user typed."""
+    try:
+        yield
+    except MsamError as err:
+        for name, flag in flags.items():
+            if str(err).startswith(f"{name} "):
+                raise type(err)(flag + str(err)[len(name):]) from None
+        raise
 
 
 def _cmd_landscape(args) -> int:
@@ -152,12 +170,8 @@ def _cmd_landscape(args) -> int:
     json_path = out_dir / f"landscape_{args.tag}.json"
     _check_writable(csv_path, json_path)
     rng = Rng(derive_seed(seed, 4))
-    try:
+    with _flag_names(radius="--radius", resolution="--res"):
         grid = landscape_grid(model, split.modalities, split.labels, args.res, args.radius, rng)
-    except NumericError as err:  # name the flag the user typed, not the argument
-        if str(err).startswith("radius "):
-            raise NumericError(f"--{err}") from None
-        raise
     write_csv(csv_path, ["alpha\\beta", *grid.betas],
               ([a, *losses] for a, losses in zip(grid.alphas, grid.losses)))
     write_json(json_path, {
@@ -213,10 +227,11 @@ def _cmd_gradcheck(args) -> int:
     train, _val, _test = generate(config.data)
     xs, ys = _pick_batch(config, train, 0)
     _, grad = model.loss_value_and_grad(xs, ys)
-    report = grad_check(
-        lambda: evaluate(model, xs, ys)[0], model.params, grad,
-        h=args.h, tol=args.tol, max_coords=args.coords, rng=Rng(derive_seed(config.seed, 5)),
-    )
+    with _flag_names(**{"step size h": "--h", "tol": "--tol", "max_coords": "--coords"}):
+        report = grad_check(
+            lambda: evaluate(model, xs, ys)[0], model.params, grad,
+            h=args.h, tol=args.tol, max_coords=args.coords, rng=Rng(derive_seed(config.seed, 5)),
+        )
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"gradcheck: max_rel_err={report.max_rel_err:.3e} worst_coord={report.worst_coord} "

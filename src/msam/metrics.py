@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .model import BranchCache, MultimodalModel, evaluate, loss_and_accuracy
+from .model import BranchCache, MultimodalModel, accuracies, check_labels, evaluate
 from .tensor import Rng
 
 Array = np.ndarray
@@ -65,9 +65,12 @@ def mono_modal_accuracy(model: MultimodalModel, xs: Sequence[Array], labels: Arr
     """Accuracy with only modality m active (all others zero-masked); an
     index outside [0, M) is a UsageError. With a `cache` from
     `model.branch_cache(xs, ...)` that holds the singleton {m}, the logits are
-    its table row, bit for bit those of the masked forward."""
-    _, acc = loss_and_accuracy(model.forward_masked(xs, (m,), cache), np.asarray(labels))
-    return acc
+    its table row, bit for bit those of the masked forward. Only the
+    accuracy is scored: it equals `loss_and_accuracy`'s second value."""
+    logits = model.forward_masked(xs, (m,), cache)
+    labels = np.asarray(labels)
+    check_labels(labels, len(logits), model.classes)
+    return float(accuracies(logits, labels))
 
 
 @dataclass

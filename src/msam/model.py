@@ -11,7 +11,10 @@ overflow; the training passes (`loss_value_and_grad`,
 `terms_value_and_grad`) run it with every linear layer checked finite, then
 apply a hand-written backward to the activations it records. A coalition is
 always the set of modalities that stay active: everything else has its
-inputs zeroed before encoding.
+inputs zeroed before encoding. Every reader takes a coalition as its
+bitmask (bit m set = modality m active), which only `_coalition` builds
+from the members, in one pass: `mask_inputs` tests its bits, and a cached
+`forward_masked` reads the table row it indexes.
 
 The layer table, built once in `__init__`, groups consecutive modalities
 with equal `EncoderSpec` into runs. Their parameter blocks are equal, so each
@@ -38,8 +41,9 @@ early fusion each row is `_fuse`'s maxout head on the coalition's cached
 features. A partial table holds only the coalitions a caller names, each
 row `_fuse` on that coalition's cached outputs; evaluation reads the full
 coalition and the M singletons from one. A cached `forward_masked` returns
-a row of the table. `mean_log_probs` and `accuracies` score such a stack in
-one pass; `loss_and_accuracy` scores one (N, C) batch with the same two
+the row of the coalition's bitmask: `table[mask]`, or `table[rows[mask]]`
+from a partial table. `mean_log_probs` and `accuracies` score such a stack
+in one pass; `loss_and_accuracy` scores one (N, C) batch with the same two
 calls.
 """
 
@@ -223,19 +227,26 @@ def check_labels(labels: Array, n: int, classes: int) -> None:
         raise UsageError(f"labels must lie in [0, {classes})")
 
 
-def _coalition(keep: Iterable[int], n_modalities: int) -> tuple[int, ...]:
-    """The members of `keep` in ascending order, each checked to be a modality."""
-    kept = tuple(sorted(frozenset(keep)))
-    for m in kept:
-        if not 0 <= m < n_modalities:
-            raise UsageError(f"coalition member {m} outside [0, {n_modalities})")
-    return kept
+def _coalition(keep: Iterable[int], n_modalities: int) -> int:
+    """The bitmask of `keep` (bit m set = modality m active), built in one
+    pass; a repeated member counts once, and numpy integer members give a
+    numpy integer mask. A member outside [0, n_modalities) is a UsageError
+    naming the smallest such member."""
+    mask, bad = 0, None
+    for m in keep:
+        if 0 <= m < n_modalities:
+            mask |= 1 << m
+        elif bad is None or m < bad:
+            bad = m
+    if bad is not None:
+        raise UsageError(f"coalition member {bad} outside [0, {n_modalities})")
+    return mask
 
 
 def mask_inputs(xs: Sequence[Array], keep: Iterable[int], n_modalities: int) -> list[Array]:
     """Zero the inputs of every modality not in `keep` (the active coalition)."""
-    kept = _coalition(keep, n_modalities)
-    return [xs[m] if m in kept else np.zeros_like(xs[m]) for m in range(n_modalities)]
+    mask = _coalition(keep, n_modalities)
+    return [xs[m] if mask >> m & 1 else np.zeros_like(xs[m]) for m in range(n_modalities)]
 
 
 class MultimodalModel:
@@ -578,23 +589,22 @@ class MultimodalModel:
         counted.
         """
         if cache is None:
-            xs64 = self._check_inputs(xs)
-        elif cache.model is not self or cache.flat is not self.params._flat:
-            raise UsageError("branch cache was built for another model or older parameters")
-        elif len(xs) != len(cache.inputs) or not all(map(operator.is_, xs, cache.inputs)):
-            raise UsageError("branch cache was built from other inputs")
-        keep = _coalition(keep, self.n_modalities)
-        if cache is not None:
-            row = sum(1 << m for m in keep)
-            if cache.rows is not None:
-                row = cache.rows.get(row)
-                if row is None:
-                    raise UsageError(f"coalition {list(keep)} is not in the branch cache")
+            inputs = mask_inputs(self._check_inputs(xs), keep, self.n_modalities)
             self.counters["masked_forward"] += 1
-            return cache.table[row]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self._forward(inputs, False).logits
+        if cache.model is not self or cache.flat is not self.params._flat:
+            raise UsageError("branch cache was built for another model or older parameters")
+        if len(xs) != len(cache.inputs) or not all(map(operator.is_, xs, cache.inputs)):
+            raise UsageError("branch cache was built from other inputs")
+        row = mask = _coalition(keep, self.n_modalities)
+        if cache.rows is not None:
+            row = cache.rows.get(mask)
+            if row is None:
+                members = [m for m in range(self.n_modalities) if mask >> m & 1]
+                raise UsageError(f"coalition {members} is not in the branch cache")
         self.counters["masked_forward"] += 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._forward(mask_inputs(xs64, keep, self.n_modalities), False).logits
+        return cache.table[row]
 
     def forward(self, xs: Sequence[Array]) -> Array:
         """Logits of a plain forward with every modality active."""

@@ -166,6 +166,19 @@ def test_gradcheck_rejects_bad_coords_and_tol(flag, value, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["landscape", "--radius", "nan"], "--radius must be finite and >= 0, got nan"),
+    (["landscape", "--res", "2"], "--res must be an odd number >= 3, got 2"),
+    (["gradcheck", "--h", "0"], "--h must be in (0, 1e-2], got 0.0"),
+    (["gradcheck", "--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
+    (["gradcheck", "--coords", "0"], "--coords must be >= 1, got 0"),
+])
+def test_flag_errors_name_the_flag(checkpoint, capsys, argv, message):
+    where = ["--checkpoint", str(checkpoint)] if argv[0] == "landscape" else ["--preset", "default"]
+    assert main([argv[0], *where, *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ------------------------------------------------------------------- landscape
 
 
@@ -184,7 +197,7 @@ def test_landscape_writes_grid(checkpoint, capsys):
 def test_landscape_validation(checkpoint, tmp_path, capsys):
     for radius in ("-1", "nan", "inf"):
         assert main(["landscape", "--checkpoint", str(checkpoint), "--radius", radius]) == 1
-        assert "error: radius must be finite and >= 0" in capsys.readouterr().err
+        assert "error: --radius must be finite and >= 0" in capsys.readouterr().err
     assert main(["landscape", "--checkpoint", str(tmp_path / "empty")]) == 1
     assert main(["landscape", "--checkpoint", str(checkpoint), "--res", "4"]) == 1
 
@@ -351,6 +364,15 @@ def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatc
     if command.endswith("dir"):
         assert "Is a directory" in err
     assert sorted(tmp_path.rglob("*")) + sorted(checkpoint.rglob("*")) == before
+
+
+def test_unwritable_output_error_names_the_requested_path(tmp_path, checkpoint, capsys):
+    out = tmp_path / "missing" / "a.csv"
+    assert main(["shapley-audit", "--checkpoint", str(checkpoint), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert main(["landscape", "--checkpoint", str(checkpoint), "--res", "3", "--tag", "a/b"]) == 1
+    out = checkpoint / "landscape_a" / "b.csv"
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 # ----------------------------------------------------------------- export-data

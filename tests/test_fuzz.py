@@ -3,17 +3,24 @@
 `resolve_config` gets arbitrary JSON trees built around the real config keys,
 and `load_dataset` arbitrary bytes around a valid file. Either call may only
 succeed or raise ConfigError/UsageError, and every config that resolves keeps
-its hash through `canonical()` and a JSON round trip. The runs use the
-suite's hypothesis profile (`conftest.py`): derandomized, so the suite sees
-the same examples every time.
+its hash through `canonical()` and a JSON round trip. `cli.main` runs
+`landscape` and `gradcheck` with flag values around and beyond each range:
+every call exits 0, 1 or 2 without a traceback, and a call that fails leaves
+every file as it was. The runs use the suite's hypothesis profile
+(`conftest.py`): derandomized, so the suite sees the same examples every
+time.
 """
 
+import contextlib
+import io
 import json
 import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from msam import harness
+from msam.cli import main
 from msam.data import MAGIC, SyntheticSpec, generate, load_dataset, save_dataset
 from msam.errors import ConfigError, UsageError
 
@@ -113,3 +120,71 @@ def test_load_dataset_only_succeeds_or_raises_usage_error(tmp_path_factory):
             pass
 
     check()
+
+
+# ------------------------------------------------------------------ cli flags
+
+CLI_FUZZ = settings(max_examples=120)
+
+# values around and beyond every range: zero, negatives, huge, +-inf, nan
+FLOATS = (st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-5, 0.5, 1e200, 1e308, -1e308,
+                           float("inf"), float("-inf"), float("nan")])
+          | st.floats(allow_nan=True, allow_infinity=True)).map(repr)
+INTS = (st.sampled_from([0, -1, 1, 2**63, 2**64, -2**64, 10**30])
+        | st.integers()).map(str) | st.sampled_from(["nan", "inf", "-inf", "1.5"])
+TAGS = st.sampled_from(["t", "", "..", "a/b", "../t", "x" * 300, "-"])
+
+
+@pytest.fixture(scope="session")
+def tiny_run(tmp_path_factory):
+    """One trained checkpoint (1 epoch, 32 training rows) and its config file."""
+    root = tmp_path_factory.mktemp("cli")
+    raw = {"seed": 0, "epochs": 1, "batch_size": 16,
+           "data": {"classes": 3, "dims": [3, 2], "snr": [2.0, 0.5],
+                    "n_train": 32, "n_val": 8, "n_test": 8},
+           "model": {"hidden": [4], "width": 3},
+           "optimizer": {"kind": "msam", "lr": 0.05, "rho": 0.1},
+           "out_dir": str(root / "run")}
+    config = root / "config.json"
+    config.write_text(json.dumps(raw))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(config)]) == 0
+    return root
+
+
+def run_cli(argv, root):
+    """`cli.main(argv)` with its output captured, checked against the property:
+    it exits 0, 1 or 2 without a traceback, and a non-zero exit leaves every
+    file under `root` as it was."""
+    before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit:  # argparse rejects a value it cannot parse
+            code = exit.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        after = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        assert after == before, argv
+
+
+@CLI_FUZZ
+@given(radius=FLOATS | st.none(), res=st.integers(-3, 5).map(str) | st.none(),
+       seed=INTS | st.none(), tag=TAGS)
+def test_landscape_flags_exit_cleanly(tiny_run, radius, res, seed, tag):
+    # --res stays small: an odd value allocates a res x res grid
+    argv = ["landscape", f"--checkpoint={tiny_run / 'run'}", f"--tag={tag}"]
+    argv += [f"--{flag}={value}" for flag, value in
+             (("radius", radius), ("res", res), ("seed", seed)) if value is not None]
+    run_cli(argv, tiny_run)
+
+
+@CLI_FUZZ
+@given(h=FLOATS | st.none(), tol=FLOATS | st.none(), coords=INTS | st.none())
+def test_gradcheck_flags_exit_cleanly(tiny_run, h, tol, coords):
+    argv = ["gradcheck", f"--config={tiny_run / 'config.json'}"]
+    argv += [f"--{flag}={value}" for flag, value in
+             (("h", h), ("tol", tol), ("coords", coords)) if value is not None]
+    run_cli(argv, tiny_run)

@@ -284,6 +284,84 @@ def test_partial_cache_rejects_bad_mask_lists(masks, message):
     assert m.counters == before
 
 
+KEEP_FORMS = {
+    "list": list, "tuple": tuple, "set": set, "generator": lambda ms: (m for m in ms),
+    "range": lambda ms: ms,  # the members of a drawn range are already a range
+}
+
+
+@st.composite
+def coalition_reads(draw):
+    """A random model with 1-8 modalities (as `random_model`), a batch of 1-40
+    rows, a partial cache's mask list, and keeps: lists, tuples, sets and
+    generators of unsorted members with repeats, some numpy ints and some
+    outside [0, M), or ranges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_modalities = draw(st.integers(1, 8))
+    m = random_model(rng, n_modalities, draw(st.sampled_from(["early", "late"])),
+                     draw(st.sampled_from(["relu", "tanh"])), draw(st.booleans()))
+    flat = m.params.flatten()
+    m.params.load_flat(draw(st.sampled_from([1.0, 1e160])) * (flat + rng.normal(size=flat.size)))
+    xs, labels = make_batch(m, n=draw(st.integers(1, 40)), seed=int(rng.integers(1000)))
+    masks = draw(st.lists(st.integers(0, (1 << n_modalities) - 1), min_size=1, max_size=12,
+                          unique=True))
+    numpy_int = st.tuples(st.sampled_from([np.int64, np.int32, np.uint8, np.intp]),
+                          st.integers(0, n_modalities - 1)).map(lambda p: p[0](p[1]))
+    member = st.integers(-2, n_modalities + 1) | numpy_int
+    keeps = []
+    for _ in range(draw(st.integers(1, 6))):
+        form = draw(st.sampled_from(sorted(KEEP_FORMS)))
+        if form == "range":
+            lo = draw(st.integers(-1, n_modalities))
+            members = range(lo, draw(st.integers(lo, n_modalities + 1)))
+        else:
+            members = draw(st.lists(member, max_size=10))
+        keeps.append((form, members))
+    return m, xs, labels, masks, keeps
+
+
+@settings(max_examples=150, deadline=None)
+@given(coalition_reads())
+def test_coalition_reads_by_bitmask(case):
+    from msam.metrics import mono_modal_accuracy
+
+    m, xs, labels, masks, keeps = case
+    n_modalities = m.n_modalities
+    full, partial = m.branch_cache(xs), m.branch_cache(xs, masks)
+    with np.errstate(all="ignore"):
+        for form, members in keeps:
+            def keep():  # a fresh iterable per call: a generator reads once
+                return KEEP_FORMS[form](members)
+            bad = [k for k in members if not 0 <= k < n_modalities]
+            mask = None if bad else sum(1 << k for k in {int(k) for k in members})
+            for cache in (None, full, partial):
+                before = dict(m.counters)
+                if bad:
+                    message = f"coalition member {min(bad)} outside [0, {n_modalities})"
+                    with pytest.raises(UsageError) as err:
+                        m.forward_masked(xs, keep(), cache=cache)
+                    assert str(err.value) == message
+                    assert m.counters == before
+                    continue
+                if cache is partial and mask not in masks:
+                    kept = [k for k in range(n_modalities) if mask >> k & 1]
+                    with pytest.raises(UsageError) as err:
+                        m.forward_masked(xs, keep(), cache=cache)
+                    assert str(err.value) == f"coalition {kept} is not in the branch cache"
+                    assert m.counters == before
+                    continue
+                got = m.forward_masked(xs, keep(), cache=cache)
+                assert m.counters == {**before, "masked_forward": before["masked_forward"] + 1}
+                want = m.forward_masked(xs, [k for k in range(n_modalities) if mask >> k & 1])
+                assert got.tobytes() == want.tobytes()
+        for k in range(n_modalities):
+            for cache in (None, full) + ((partial,) if 1 << k in masks else ()):
+                want = loss_and_accuracy(m.forward_masked(xs, (k,), cache), labels)[1]
+                before = dict(m.counters)
+                assert mono_modal_accuracy(m, xs, labels, k, cache) == want
+                assert m.counters["masked_forward"] == before["masked_forward"] + 1
+
+
 def test_masked_term_grads_vanish_off_coalition():
     m = late_model(bias=False)
     xs, labels = make_batch(m)
