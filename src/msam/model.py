@@ -593,18 +593,19 @@ class MultimodalModel:
             self.counters["masked_forward"] += 1
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._forward(inputs, False).logits
-        if cache.model is not self or cache.flat is not self.params._flat:
+        model, flat, inputs, table, rows = cache
+        if model is not self or flat is not self.params._flat:
             raise UsageError("branch cache was built for another model or older parameters")
-        if len(xs) != len(cache.inputs) or not all(map(operator.is_, xs, cache.inputs)):
+        if len(xs) != len(inputs) or not all(map(operator.is_, xs, inputs)):
             raise UsageError("branch cache was built from other inputs")
-        row = mask = _coalition(keep, self.n_modalities)
-        if cache.rows is not None:
-            row = cache.rows.get(mask)
+        row = mask = _coalition(keep, len(inputs))
+        if rows is not None:
+            row = rows.get(mask)
             if row is None:
-                members = [m for m in range(self.n_modalities) if mask >> m & 1]
+                members = [m for m in range(len(inputs)) if mask >> m & 1]
                 raise UsageError(f"coalition {members} is not in the branch cache")
         self.counters["masked_forward"] += 1
-        return cache.table[row]
+        return table[row]
 
     def forward(self, xs: Sequence[Array]) -> Array:
         """Logits of a plain forward with every modality active."""
