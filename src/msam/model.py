@@ -589,10 +589,11 @@ class MultimodalModel:
         counted.
         """
         if cache is None:
-            inputs = mask_inputs(self._check_inputs(xs), keep, self.n_modalities)
+            masked = mask_inputs(self._check_inputs(xs), keep, self.n_modalities)
             self.counters["masked_forward"] += 1
             with np.errstate(over="ignore", invalid="ignore"):
-                return self._forward(inputs, False).logits
+                return self._forward(masked, False).logits
+        # unpacked once: attribution makes 2**M - 1 of these reads per batch
         model, flat, inputs, table, rows = cache
         if model is not self or flat is not self.params._flat:
             raise UsageError("branch cache was built for another model or older parameters")
