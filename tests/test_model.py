@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from msam.errors import ConfigError, DimensionError, UsageError
 from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, accuracies, evaluate,
                         loss_and_accuracy, mask_inputs, mean_log_probs)
+from msam.metrics import mono_modal_accuracy
 from msam.tensor import Rng
 
 
@@ -323,8 +324,6 @@ def coalition_reads(draw):
 @settings(max_examples=150, deadline=None)
 @given(coalition_reads())
 def test_coalition_reads_by_bitmask(case):
-    from msam.metrics import mono_modal_accuracy
-
     m, xs, labels, masks, keeps = case
     n_modalities = m.n_modalities
     full, partial = m.branch_cache(xs), m.branch_cache(xs, masks)
