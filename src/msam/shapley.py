@@ -184,9 +184,11 @@ def attribute_batch(
     check_labels(labels, len(xs[0]), model.classes)
     seeded = full_loss is not None and target == "loss"
     count = (1 << n) - seeded
-    # one counted call per coalition, each returning a row of the table
+    # one counted call per coalition, each returning a row of the table, on
+    # the cache's own inputs tuple, which the cached path accepts by `is`
+    inputs = cache.inputs
     for members in _coalitions(n)[:count]:
-        model.forward_masked(xs, members, cache=cache)
+        model.forward_masked(inputs, members, cache)
     stack = cache.table[:count]
     values = np.empty(1 << n)
     # non-finite coalition values are _phi's NumericError, not warnings
