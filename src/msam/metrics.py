@@ -252,7 +252,9 @@ def convergence_report(grad_norms: Sequence[float], calibrate_at: int | None = N
 
     The constant C is chosen so that C*log(t)/sqrt(t) equals the running
     average exactly at the calibration index (1-based, >= 2 so the log is
-    positive); the default calibrates a quarter of the way in.
+    positive); the default calibrates a quarter of the way in. Finite
+    norms whose squares, running average or bound overflow are a
+    NumericError naming the first such step.
     """
     norms = np.asarray(list(grad_norms), dtype=np.float64)
     if norms.ndim != 1 or norms.size < 2:
@@ -264,11 +266,19 @@ def convergence_report(grad_norms: Sequence[float], calibrate_at: int | None = N
         calibrate_at = max(2, t_total // 4)
     if not 2 <= calibrate_at <= t_total:
         raise UsageError(f"calibrate_at must be in [2, {t_total}], got {calibrate_at}")
-    sq = norms**2
-    running = np.cumsum(sq) / np.arange(1, t_total + 1)
-    c_fit = float(running[calibrate_at - 1] * np.sqrt(calibrate_at) / np.log(calibrate_at))
     t = np.arange(1, t_total + 1, dtype=np.float64)
-    bound = c_fit * np.log(t) / np.sqrt(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is named below
+        sq = norms**2
+        running = np.cumsum(sq) / t
+        c_fit = float(running[calibrate_at - 1] * np.sqrt(calibrate_at) / np.log(calibrate_at))
+        bound = c_fit * np.log(t) / np.sqrt(t)
+    columns = (("squared gradient norm", sq), ("running average", running), ("bound", bound))
+    finite = np.isfinite(sq) & np.isfinite(running) & np.isfinite(bound)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        name, value = next((n, v[i]) for n, v in columns if not np.isfinite(v[i]))
+        raise NumericError(f"step {i + 1}: {name} {float(value)} is not finite "
+                           f"(the gradient norms overflow float64 once squared)")
     return ConvergenceReport(
         sq_norms=sq,
         running_avg=running,

@@ -42,9 +42,13 @@ features. A partial table holds only the coalitions a caller names, each
 row `_fuse` on that coalition's cached outputs; evaluation reads the full
 coalition and the M singletons from one. A cached `forward_masked` returns
 the row of the coalition's bitmask: `table[mask]`, or `table[rows[mask]]`
-from a partial table. `mean_log_probs` and `accuracies` score such a stack
-in one pass; `loss_and_accuracy` scores one (N, C) batch with the same two
-calls.
+from a partial table; it accepts the cache's own `inputs` tuple, which
+attribution passes, by one `is` check, and any other sequence only if it
+holds the same arrays. `mean_log_probs` and `accuracies` score such a stack
+in one pass, summing the exponentials of fewer than 8 classes as one
+`np.add` per class column once the stack holds 256 rows (see
+`_label_log_probs`); `loss_and_accuracy` scores one (N, C) batch with the
+same two calls.
 """
 
 from __future__ import annotations

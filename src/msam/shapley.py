@@ -10,15 +10,16 @@ Every coalition value is computed exactly once and memoized. For a model,
 zeros, so one attribution costs 2M branch passes, which fill one table of
 every coalition's logits under either fusion mode, then 2**M counted
 coalitions (one fewer when the caller seeds the full coalition's loss), each
-a row of that table. The rows are scored in one stacked pass
-(`model.mean_log_probs` or `model.accuracies`), and phi is one vectorized
-sum over a plan of weights and mask indices cached per (M, variant): each
-player's terms add in ascending mask order, as a plain loop over masks adds
-them. Two variants exist: "standard" sums over all S including the empty
-coalition (the classic definition, for which the efficiency axiom
-sum(phi) = v(full) - v(empty) holds exactly), and "paper" drops the empty
-coalition from the sum, kept for comparison because some derivations write
-the formula that way.
+a row of that table, read by passing the cache's own `inputs` tuple, which
+the cached read accepts by one `is` check. The rows are scored in one
+stacked pass (`model.mean_log_probs` or `model.accuracies`), and phi is one
+vectorized sum over a plan of weights and mask indices cached per (M,
+variant): each player's terms add in ascending mask order, as a plain loop
+over masks adds them. Two variants exist: "standard" sums over all S
+including the empty coalition (the classic definition, for which the
+efficiency axiom sum(phi) = v(full) - v(empty) holds exactly), and "paper"
+drops the empty coalition from the sum, kept for comparison because some
+derivations write the formula that way.
 """
 
 from __future__ import annotations

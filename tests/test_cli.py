@@ -6,6 +6,7 @@ the contract 0 = success, 1 = config/flag/path problems, 2 = numeric failure.
 
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,17 @@ def test_convergence_rejects_a_damaged_steps_csv(tmp_path, capsys, text, message
     assert main(["convergence", "--run", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert str(tmp_path / "steps.csv") in err and message in err
+
+
+def test_convergence_rejects_norms_whose_squares_overflow(tmp_path, capsys):
+    (tmp_path / "steps.csv").write_text("t,grad_norm\n1,1e200\n2,1e200\n3,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy must not warn on the way
+        assert main(["convergence", "--run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("numeric error: step 1: squared gradient norm inf "
+                                       "is not finite (the gradient norms overflow float64 "
+                                       "once squared)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["steps.csv"]
 
 
 # --------------------------------------------------------------- output paths

@@ -12,9 +12,11 @@ time.
 """
 
 import contextlib
+import csv
 import io
 import json
 import struct
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,11 +156,14 @@ def tiny_run(tmp_path_factory):
 
 def run_cli(argv, root):
     """`cli.main(argv)` with its output captured, checked against the property:
-    it exits 0, 1 or 2 without a traceback, and a non-zero exit leaves every
-    file under `root` as it was."""
+    it exits 0, 1 or 2 without a traceback or a numpy RuntimeWarning (raised
+    here as an error), and a non-zero exit leaves every file under `root` as
+    it was."""
     before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = main(argv)
         except SystemExit as exit:  # argparse rejects a value it cannot parse
@@ -187,4 +192,46 @@ def test_gradcheck_flags_exit_cleanly(tiny_run, h, tol, coords):
     argv = ["gradcheck", f"--config={tiny_run / 'config.json'}"]
     argv += [f"--{flag}={value}" for flag, value in
              (("h", h), ("tol", tol), ("coords", coords)) if value is not None]
+    run_cli(argv, tiny_run)
+
+
+@CLI_FUZZ
+@given(batch=st.integers(-3, 4).map(str) | INTS | st.none(),
+       variant=st.sampled_from(["standard", "paper", "", "Paper", "exact"]) | st.none(),
+       target=st.sampled_from(["loss", "accuracy", "", "f1"]) | st.none(),
+       out=TAGS.map(lambda tag: f"audit/{tag}") | st.sampled_from(["run", "run/config.json"])
+       | st.none())
+def test_shapley_audit_flags_exit_cleanly(tiny_run, batch, variant, target, out):
+    # the tiny checkpoint has 2 train batches; every --out stays under tiny_run
+    (tiny_run / "audit").mkdir(exist_ok=True)
+    argv = ["shapley-audit", f"--checkpoint={tiny_run / 'run'}"]
+    argv += [f"--{flag}={value}" for flag, value in
+             (("batch", batch), ("variant", variant), ("target", target),
+              ("out", None if out is None else tiny_run / out)) if value is not None]
+    run_cli(argv, tiny_run)
+
+
+# grad_norm cells: zero, subnormals, squares near and beyond the float range,
+# +-inf, nan, negatives and text
+NORMS = (st.sampled_from(["0", "-0.0", "5e-324", "1e-310", "2.2e-308", "1e-160", "1e150",
+                          "1e154", "1.4e154", "1e200", "1e308", "inf", "-inf", "nan", "-1",
+                          "abc", "", "1_0", " 2 "])
+         | st.floats(1e150, 1e308).map(repr) | st.floats(0.0, 10.0).map(repr)
+         | st.text(max_size=4))
+
+
+@CLI_FUZZ
+@given(norms=st.lists(NORMS, max_size=6), calibrate_at=st.integers(-1, 8).map(str) | INTS
+       | st.none())
+def test_convergence_flags_and_cells_exit_cleanly(tiny_run, norms, calibrate_at):
+    run_dir = tiny_run / "conv"
+    run_dir.mkdir(exist_ok=True)
+    (run_dir / "convergence.csv").unlink(missing_ok=True)
+    with open(run_dir / "steps.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "grad_norm"])
+        writer.writerows(enumerate(norms, 1))
+    argv = ["convergence", f"--run={run_dir}"]
+    if calibrate_at is not None:
+        argv.append(f"--calibrate-at={calibrate_at}")
     run_cli(argv, tiny_run)

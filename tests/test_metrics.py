@@ -5,6 +5,9 @@ expected values have closed forms, and the convergence report is checked on
 synthetic traces whose behavior against the reference curve is known.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -264,3 +267,18 @@ def test_convergence_validation():
         convergence_report(np.ones(10), calibrate_at=1)
     with pytest.raises(UsageError):
         convergence_report(np.ones(10), calibrate_at=11)
+
+
+@pytest.mark.parametrize("norms, calibrate_at, message", [
+    # 1e200 squared overflows at step 1, which also makes C and every bound inf
+    ([1e200, 1e200, 1.0], None, "step 1: squared gradient norm inf is not finite"),
+    # each square is finite, their sum is not
+    ([1.0, 1e154, 1.3e154], 2, "step 3: running average inf is not finite"),
+    # the running average is finite, C = avg * sqrt(2) / log(2) is not
+    ([1.0, 1.33e154], 2, "step 1: bound nan is not finite"),
+])
+def test_convergence_rejects_overflowing_squares(norms, calibrate_at, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy must not warn on the way
+        with pytest.raises(NumericError, match=re.escape(message)):
+            convergence_report(norms, calibrate_at=calibrate_at)

@@ -4,8 +4,12 @@ Coalition masking is checked against hand-built numpy forward passes, and the
 training loss is checked against the plain evaluation of the same batch. The
 stacked coalition scorers are checked bit for bit against the single-batch
 ones on drawn stacks: they copy numpy's summation order, so a numpy release
-that changes that order fails here before it moves a golden hash.
+that changes that order fails here before it moves a golden hash. One test
+pins that order for fewer than 8 terms, which the class-column fold of a
+large stack relies on.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -460,10 +464,14 @@ SPECIAL = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1e308, 745.0, -745.0]
 def logit_stacks(draw):
     """A (K, N, C) stack of logits and N labels: scaled normals, sometimes
     rounded into ties, with a few entries set to infinities, nan, signed
-    zeros or values whose exponentials overflow or underflow."""
+    zeros or values whose exponentials overflow or underflow. C spans the
+    class-column fold (C < 8), one 8-accumulator block of numpy's sum with
+    a tail, and two blocks; K * N crosses the fold's 256-row threshold. The
+    stack is sometimes a non-contiguous view: every other item of a larger
+    stack, or the same values in column-major order."""
     k = draw(st.integers(1, 4))
     n = draw(st.sampled_from(EDGE_ROWS) | st.integers(1, 2048))
-    c = draw(st.integers(2, 10))
+    c = draw(st.integers(2, 17))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = rng.normal(size=(k, n, c)) * draw(st.sampled_from([1e-3, 1.0, 40.0, 1e4, 1e300]))
     if draw(st.booleans()):
@@ -471,7 +479,39 @@ def logit_stacks(draw):
     flat = z.reshape(-1)
     for value in draw(st.lists(st.sampled_from(SPECIAL), max_size=6)):
         flat[rng.integers(flat.size)] = value
+    layout = draw(st.sampled_from(["contiguous", "every other item", "column-major"]))
+    if layout == "every other item":
+        big = np.full((2 * k, n, c), np.nan)
+        big[::2] = z
+        z = big[::2]
+    elif layout == "column-major":
+        z = np.asfortranarray(z)
     return z, rng.integers(0, c, n)
+
+
+def test_numpy_sums_fewer_than_8_terms_left_to_right():
+    """`_label_log_probs` folds the class columns of a large stack with
+    `np.add` instead of calling numpy's sum. That gives the same bits only
+    because numpy adds fewer than 8 float64 terms of a contiguous last axis
+    one by one, left to right from +0.0. Pinned here, with nan payloads,
+    infinities, signed zeros and magnitudes whose sums depend on order, so
+    a numpy release that changes this order fails in this one test."""
+    rng = np.random.default_rng(8)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                        1e308, -1e308, 1e16, -1e16, 1.0, -1.0])
+    for c in range(1, 8):
+        drawn = rng.normal(size=(4000, c)) * 10.0 ** rng.integers(-20, 20, (4000, c))
+        x = np.where(rng.random((4000, c)) < 0.3, rng.choice(special, (4000, c)), drawn)
+        columns = [x[:, j] for j in range(c)]
+        with np.errstate(all="ignore"):
+            got = np.add.reduce(x, axis=-1).view(np.uint64)
+            fold = functools.reduce(np.add, columns, np.zeros(len(x))).view(np.uint64)
+            # the fold as `_label_log_probs` runs it starts from column 0 instead
+            # of +0.0, which changes only a row of -0.0 terms
+            seeded = functools.reduce(np.add, columns).view(np.uint64)
+        negative_zeros = (x.view(np.uint64) == np.float64(-0.0).view(np.uint64)).all(axis=-1)
+        assert (got == fold).all(), f"numpy {np.__version__} sums {c} terms in another order"
+        assert (got == seeded)[~negative_zeros].all(), f"numpy {np.__version__}, {c} terms"
 
 
 def reference_mean_loss(z, labels):
@@ -489,6 +529,7 @@ def test_stacked_scores_equal_single_scores_bitwise(case):
         logps, accs = mean_log_probs(z, labels), accuracies(z, labels)
         for k, row in enumerate(z):
             loss, acc = loss_and_accuracy(row, labels)
-            assert float(-logps[k]).hex() == loss.hex() == reference_mean_loss(row, labels).hex()
+            reference = reference_mean_loss(np.ascontiguousarray(row), labels)
+            assert float(-logps[k]).hex() == loss.hex() == reference.hex()
             assert float(accs[k]).hex() == acc.hex()
             assert acc.hex() == float(np.mean(np.argmax(row, axis=1) == labels)).hex()

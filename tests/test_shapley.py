@@ -313,6 +313,49 @@ def test_attribute_batch_counts_calls_and_matches_uncached_coalitions(fusion, n_
                     assert att.phi.tobytes() == want_phi.tobytes()
 
 
+@pytest.mark.parametrize("fusion", ["late", "early"])
+def test_cached_reads_check_inputs_by_identity(fusion):
+    m = MultimodalModel([EncoderSpec(2, (3,)) for _ in range(3)],
+                        FusionSpec(fusion, width=4, pieces=2), classes=3, seed=4)
+    xs, _ = model_batch(m)
+    cache = m.branch_cache(xs)
+    want = m.forward_masked(xs, [0, 2]).tobytes()
+    # the cache's own tuple, a new list of the same arrays, and the caller's list
+    for inputs in (cache.inputs, list(cache.inputs), xs):
+        before = m.counters["masked_forward"]
+        assert m.forward_masked(inputs, [0, 2], cache).tobytes() == want
+        assert m.counters["masked_forward"] - before == 1
+    # equal values in another array, or too few arrays, are other inputs
+    before = m.counters["masked_forward"]
+    for inputs in ([xs[0], xs[1].copy(), xs[2]], cache.inputs[:2]):
+        with pytest.raises(UsageError, match="branch cache was built from other inputs"):
+            m.forward_masked(inputs, [0, 2], cache)
+    assert m.counters["masked_forward"] == before
+
+
+@pytest.mark.parametrize("n_modalities", [3, 8])
+def test_attribute_batch_reads_by_the_cache_inputs(n_modalities, monkeypatch):
+    m = MultimodalModel([EncoderSpec(2, (3,)) for _ in range(n_modalities)],
+                        FusionSpec("late", width=4), classes=3, seed=n_modalities)
+    xs, labels = model_batch(m)
+    full_loss, _ = evaluate(m, xs, labels)
+    reads = []
+    original = m.forward_masked
+
+    def spy(inputs, keep, cache=None):
+        reads.append(inputs is cache.inputs)
+        return original(inputs, keep, cache)
+
+    monkeypatch.setattr(m, "forward_masked", spy)
+    for target, seed, calls in (("loss", full_loss, (1 << n_modalities) - 1),
+                                ("accuracy", None, 1 << n_modalities)):
+        reads.clear()
+        before = m.counters["masked_forward"]
+        attribute_batch(m, xs, labels, target=target, full_loss=seed)
+        assert m.counters["masked_forward"] - before == calls
+        assert reads == [True] * calls
+
+
 def test_attribute_batch_constant_model_is_degenerate():
     m = three_modality_model(bias=False)
     m.params.load_flat(np.zeros(m.n_params))
