@@ -199,10 +199,10 @@ def test_gradcheck_flags_exit_cleanly(tiny_run, h, tol, coords):
 @given(batch=st.integers(-3, 4).map(str) | INTS | st.none(),
        variant=st.sampled_from(["standard", "paper", "", "Paper", "exact"]) | st.none(),
        target=st.sampled_from(["loss", "accuracy", "", "f1"]) | st.none(),
-       out=TAGS.map(lambda tag: f"audit/{tag}") | st.sampled_from(["run", "run/config.json"])
-       | st.none())
+       out=TAGS.map(lambda tag: f"audit/{tag}") | st.just("run") | st.none())
 def test_shapley_audit_flags_exit_cleanly(tiny_run, batch, variant, target, out):
-    # the tiny checkpoint has 2 train batches; every --out stays under tiny_run
+    # the tiny checkpoint has 2 train batches; every --out stays under tiny_run,
+    # and "run" is the checkpoint directory itself
     (tiny_run / "audit").mkdir(exist_ok=True)
     argv = ["shapley-audit", f"--checkpoint={tiny_run / 'run'}"]
     argv += [f"--{flag}={value}" for flag, value in
