@@ -25,16 +25,16 @@ Array = np.ndarray
 class ParameterVector:
     """Ordered named parameters in one flat read-only float64 buffer.
 
-    Each name reads through a read-only reshaped view of the buffer, built
-    the first time it is asked for. `add_stack` registers same-shape
-    parameters that sit at one constant stride as a stacked view, one item
-    per parameter; `stacks` holds those views for the current buffer, built
-    once per buffer. `flatten`/`load_flat` round-trip exactly (same order,
-    same bytes), which is what optimizers rely on to snapshot and restore
-    parameters bitwise. `load_flat` swaps in a fresh buffer instead of
-    writing into the old one, so arrays handed out earlier keep their
-    values. Every stored value is finite: construction and `load_flat`
-    share one check.
+    `view(name)` builds a read-only reshaped view of one parameter's slice on
+    each call; only checkpoint reads and writes ask for one. `add_stack`
+    registers same-shape parameters that sit at one constant stride as a
+    stacked view, one item per parameter; `stacks` holds those views for the
+    current buffer, built once per buffer. `flatten`/`load_flat` round-trip
+    exactly (same order, same bytes), which is what optimizers rely on to
+    snapshot and restore parameters bitwise. `load_flat` swaps in a fresh
+    buffer instead of writing into the old one, so arrays handed out earlier
+    keep their values. Every stored value is finite: construction and
+    `load_flat` share one check.
     """
 
     def __init__(self, named: Sequence[tuple[str, npt.ArrayLike]]):
@@ -65,10 +65,7 @@ class ParameterVector:
 
     def view(self, name: str) -> Array:
         """Read-only array view of one named parameter."""
-        view = self._views.get(name)
-        if view is None:
-            view = self._views[name] = self._flat[self._slices[name]].reshape(self._shapes[name])
-        return view
+        return self._flat[self._slices[name]].reshape(self._shapes[name])
 
     def slice_of(self, name: str) -> slice:
         return self._slices[name]
@@ -86,7 +83,6 @@ class ParameterVector:
             raise NumericError("parameters must be finite")
         flat.setflags(write=False)
         self._flat = flat
-        self._views: dict[str, Array] = {}
         self.stacks = self.stack_views(flat)
 
     def add_stack(self, names: Sequence[str], item_shape: tuple[int, ...] | None = None) -> int:
@@ -137,15 +133,14 @@ def grad_check(
     tol: float = 1e-4,
     max_coords: int = 100,
     rng: Rng | None = None,
-    coords: Sequence[int] | None = None,
 ) -> GradCheckReport:
     """Compare `analytic_grad` against central finite differences of `loss_fn`.
 
     `loss_fn` takes no arguments and returns the scalar loss at the current
     parameters. Relative error per coordinate is |g - fd| / max(1, |g|, |fd|).
-    Coordinates default to all of them when the parameter count is small,
-    otherwise a seeded sample. Parameters are restored to their entry values
-    before returning.
+    Every coordinate is checked when there are at most `max_coords`,
+    otherwise a sample of `max_coords` drawn from `rng` (default `Rng(0)`).
+    Parameters are restored to their entry values before returning.
     """
     if not 0.0 < h <= 1e-2:
         raise UsageError(f"step size h must be in (0, 1e-2], got {h}")
@@ -157,16 +152,10 @@ def grad_check(
     if g.shape != (params.size,):
         raise DimensionError(f"analytic gradient shape {g.shape} != ({params.size},)")
     base = params.flatten()
-    if coords is None:
-        if params.size <= max_coords:
-            idxs = np.arange(params.size)
-        else:
-            rng = rng if rng is not None else Rng(0)
-            idxs = rng.permutation(params.size)[:max_coords]
+    if params.size <= max_coords:
+        idxs = np.arange(params.size)
     else:
-        idxs = np.asarray(list(coords), dtype=np.int64)
-        if idxs.size == 0 or idxs.min() < 0 or idxs.max() >= params.size:
-            raise UsageError("coords must be non-empty and within the flat parameter range")
+        idxs = (rng if rng is not None else Rng(0)).permutation(params.size)[:max_coords]
     max_rel = 0.0
     worst = int(idxs[0])
     try:

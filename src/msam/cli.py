@@ -12,6 +12,7 @@ import csv
 import errno
 import itertools
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import grad_check
-from .data import batches, generate, save_dataset
+from .data import generate, save_dataset
 from .errors import ConfigError, MsamError, NumericError
 from .harness import (
     SEEDS,
@@ -191,8 +192,7 @@ def _pick_batch(config: ExperimentConfig, train, k: int):
     n_batches = config.steps_per_epoch
     if not 0 <= k < n_batches:
         raise ConfigError(f"--batch must be in [0, {n_batches}), got {k}")
-    stream = batches(train, config.batch_size, derive_seed(config.seed, 3, 0))
-    return next(itertools.islice(stream, k, None))
+    return next(itertools.islice(config.epoch_batches(train, 0), k, None))
 
 
 def _cmd_audit(args) -> int:
@@ -201,12 +201,11 @@ def _cmd_audit(args) -> int:
     out = Path(args.out) if args.out else Path(args.checkpoint) / "shapley_audit.csv"
     _check_writable(out)
     att = attribute_batch(model, xs, ys, target=args.target, variant=args.variant)
-    v_full = att.coalition_values[(1 << model.n_modalities) - 1]
-    eff_gap = float(att.phi.sum() - (v_full - att.baseline))
+    eff_gap = float(att.phi.sum() - (att.coalition_values[-1] - att.coalition_values[0]))
     eff_ok = abs(eff_gap) <= 1e-9
     names = [f"m{m + 1}" for m in range(model.n_modalities)]
     rows = [["coalition", "+".join(n for m, n in enumerate(names) if mask >> m & 1) or "empty",
-             v, None] for mask, v in sorted(att.coalition_values.items())]
+             v, None] for mask, v in enumerate(att.coalition_values)]
     rows += [[kind, n, v, None] for kind, vs in (("phi", att.phi), ("nu", att.nu))
              for n, v in zip(names, vs)]
     rows += [["dominant", names[att.dominant], att.nu[att.dominant], None],
@@ -253,12 +252,12 @@ def _cmd_convergence(args) -> int:
         raise ConfigError(f"{steps_path} is not UTF-8 text: {err}") from None
     if "grad_norm" not in (reader.fieldnames or ()):
         raise ConfigError(f"{steps_path} has no grad_norm column")
+    # a plain float literal: `float()` alone also reads `1_0`, ` 2 ` and non-ASCII digits
+    literal = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|[+-]?(nan|inf)", re.ASCII)
     norms = []
     for row in reader:
-        try:
-            norm = float(row["grad_norm"])
-        except (TypeError, ValueError):  # a short row reads None
-            norm = None
+        cell = row["grad_norm"]  # a short row reads None
+        norm = float(cell) if cell is not None and literal.fullmatch(cell) else None
         if norm is None or not 0 <= norm < np.inf:  # a completed run writes none of these
             why = "is not a number" if norm is None else "must be finite and >= 0"
             raise ConfigError(f"{steps_path} line {reader.line_num}: grad_norm "
@@ -266,9 +265,8 @@ def _cmd_convergence(args) -> int:
         norms.append(norm)
     if len(norms) < 2:
         raise ConfigError(f"{steps_path} holds {len(norms)} grad_norm rows, need at least 2")
-    if args.calibrate_at is not None and not 2 <= args.calibrate_at <= len(norms):
-        raise ConfigError(f"--calibrate-at must be in [2, {len(norms)}], got {args.calibrate_at}")
-    rep = convergence_report(norms, calibrate_at=args.calibrate_at)
+    with _flag_names(calibrate_at="--calibrate-at"):
+        rep = convergence_report(norms, calibrate_at=args.calibrate_at)
     out = run_dir / "convergence.csv"
     write_csv(out, ["t", "grad_sq_norm", "running_avg", "bound"],
               zip(itertools.count(1), rep.sq_norms, rep.running_avg, rep.bound))
@@ -296,6 +294,9 @@ def main(argv=None) -> int:
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:  # a size that cannot exist, such as n_train 2**62
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 1
     except (MsamError, OSError) as err:  # OSError: a path that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -77,6 +77,10 @@ class ExperimentConfig:
     def steps_per_epoch(self) -> int:
         return -(-self.data.n_train // self.batch_size)
 
+    def epoch_batches(self, train: Dataset, epoch: int):
+        """The training batches of one epoch, in the order `run` steps through them."""
+        return batches(train, self.batch_size, derive_seed(self.seed, 3, epoch))
+
     def canonical(self) -> dict:
         """Fully-explicit config dict, all schema rows but out_dir; valid `resolve_config` input."""
         values = {path: read(self) for path, read in _CANONICAL}
@@ -192,8 +196,11 @@ _SCHEMA = (
 )
 
 # The `export-data` spec: the data section at the top level, every key
-# required, plus the seed.
-_DATA_SPEC = tuple((path.removeprefix("data."), kind, _REQUIRED, check)
+# required, plus the seed. The file holds classes and dims in u32 fields.
+_U32 = "must fit in a u32 field of the dataset file (below 2**32)"
+_FILE_CHECKS = {"data.classes": lambda x: None if x < 1 << 32 else _U32,
+                "data.dims": lambda xs: None if all(x < 1 << 32 for x in xs) else _U32}
+_DATA_SPEC = tuple((path.removeprefix("data."), kind, _REQUIRED, _FILE_CHECKS.get(path, check))
                    for path, kind, _default, check in _SCHEMA if path.startswith("data.")
                    ) + tuple(row for row in _SCHEMA if row[0] == "seed")
 
@@ -504,7 +511,7 @@ def run(config: ExperimentConfig) -> RunRecord:
     stopped = False
     for epoch in range(config.epochs):
         epoch_reports: list[StepReport] = []
-        for xs, ys in batches(train, config.batch_size, derive_seed(config.seed, 3, epoch)):
+        for xs, ys in config.epoch_batches(train, epoch):
             taped0 = model.counters["taped"]
             masked0 = model.counters["masked_forward"]
             try:
@@ -593,10 +600,11 @@ def load_checkpoint(run_dir: str | Path) -> tuple[ExperimentConfig, MultimodalMo
         raise ConfigError(f"{run_dir} is not a checkpoint (need config.json and params.npz)")
     config = load_config(cfg_path)
     model = _new_model(config)
-    try:  # a .npy file loads as a bare array, which is no context manager: TypeError
+    try:  # TypeError: a .npy file (no context manager); RuntimeError: a damaged zip header
         with np.load(npz_path) as npz:
             arrays = {name: npz[name] for name in npz.files}
-    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as err:
+    except (OSError, EOFError, TypeError, ValueError, RuntimeError, zipfile.BadZipFile,
+            zlib.error) as err:
         raise ConfigError(f"{npz_path} is not a readable parameter file: {err}") from None
     if set(arrays) != set(model.params.names):
         raise ConfigError(f"{npz_path} parameter names do not match the config's model")

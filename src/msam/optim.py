@@ -214,7 +214,7 @@ def _current_weights(
     labels: Array,
     state: OptimState,
     cfg: OptimConfig,
-    full_loss: float | None,
+    full_loss: float,
 ) -> tuple[Array, int, bool]:
     """Cached-or-fresh modality weights according to `shapley_every`; the
     step about to be taken is number state.t + 1."""
@@ -224,7 +224,7 @@ def _current_weights(
             model, xs, labels,
             target=cfg.shapley_target,
             variant=cfg.shapley_variant,
-            full_loss=full_loss if cfg.shapley_target == "loss" else None,
+            full_loss=full_loss,
         )
         state.last_nu = att.nu
         state.last_dominant = att.dominant

@@ -5,28 +5,29 @@ contributions over all coalitions S not containing m:
 
     phi[m] = sum_S |S|! (M - |S| - 1)! / M! * (v(S + {m}) - v(S))
 
-Every coalition value is computed exactly once and memoized. For a model,
+Every coalition value is computed exactly once, into one float64 vector
+indexed by bitmask (bit m set = modality m active). For a model,
 `attribute_batch` first caches each modality's branch on its input and on
 zeros, so one attribution costs 2M branch passes, which fill one table of
 every coalition's logits under either fusion mode, then 2**M counted
 coalitions (one fewer when the caller seeds the full coalition's loss), each
 a row of that table, read by passing the cache's own `inputs` tuple, which
 the cached read accepts by one `is` check. The rows are scored in one
-stacked pass (`model.mean_log_probs` or `model.accuracies`), and phi is one
-vectorized sum over a plan of weights and mask indices cached per (M,
-variant): each player's terms add in ascending mask order, as a plain loop
-over masks adds them. Two variants exist: "standard" sums over all S
-including the empty coalition (the classic definition, for which the
-efficiency axiom sum(phi) = v(full) - v(empty) holds exactly), and "paper"
-drops the empty coalition from the sum, kept for comparison because some
-derivations write the formula that way.
+stacked pass (`model.mean_log_probs` or `model.accuracies`) into the
+vector, and phi is one vectorized sum over a plan of weights and mask
+indices cached per (M, variant): each player's terms add in ascending mask
+order, as a plain loop over masks adds them. Two variants exist:
+"standard" sums over all S including the empty coalition (the classic
+definition, for which the efficiency axiom sum(phi) = v(full) - v(empty)
+holds exactly), and "paper" drops the empty coalition from the sum, kept for
+comparison because some derivations write the formula that way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,21 +44,20 @@ TARGETS = ("loss", "accuracy")
 
 @dataclass
 class ShapleyAttribution:
-    """Attribution result plus the coalition table it was computed from.
+    """Attribution result plus the coalition values it was computed from.
 
-    `baseline` is the empty-coalition value; `coalition_values` maps a
-    coalition bitmask (bit m set = modality m active) to its set-function
-    value and doubles as the audit table. Modality indices are 0-based.
+    `coalition_values[k]` is the value of the coalition with bitmask k (bit m
+    set = modality m active), a float64 vector of length 2**M that doubles as
+    the audit table. Modality indices are 0-based.
     """
 
     phi: Array
     nu: Array
     dominant: int
-    baseline: float
     degenerate: bool
     variant: str
     target: str
-    coalition_values: dict[int, float] = field(default_factory=dict)
+    coalition_values: Array
 
 
 def _check_players(n_players: int, variant: str) -> None:
@@ -112,21 +112,16 @@ def shapley_exact(
     n_players: int,
     *,
     variant: str = "standard",
-    values: dict[int, float] | None = None,
-) -> tuple[Array, dict[int, float]]:
-    """Exact Shapley values of `value_fn`; returns (phi, coalition table).
+) -> tuple[Array, Array]:
+    """Exact Shapley values of `value_fn`; returns (phi, coalition values).
 
-    `values` may pre-seed coalition evaluations (bitmask -> value); anything
-    missing is computed via `value_fn(frozenset(members))`. A non-finite
+    `value_fn(frozenset(members))` is called once per coalition, and the
+    values come back as a float64 vector indexed by bitmask. A non-finite
     value is a NumericError naming the lowest such coalition.
     """
     _check_players(n_players, variant)
-    table = dict(values) if values else {}
-    for mask, members in enumerate(_coalitions(n_players)):
-        if mask not in table:
-            table[mask] = float(value_fn(frozenset(members)))
-    vector = np.array([table[mask] for mask in range(1 << n_players)], dtype=np.float64)
-    return _phi(vector, variant), table
+    values = np.array([float(value_fn(frozenset(members))) for members in _coalitions(n_players)])
+    return _phi(values, variant), values
 
 
 def normalize_weights(phi: Array) -> tuple[Array, bool]:
@@ -174,7 +169,8 @@ def attribute_batch(
     one `model.branch_cache` table of the batch, read by one counted
     `model.forward_masked` call each, and all of them are scored in one
     stacked pass. `full_loss`, when the caller already knows the
-    full-coalition loss, seeds the table and saves one of them.
+    full-coalition loss, seeds the loss target's last value and saves one
+    of them; the accuracy target ignores it.
     """
     if target not in TARGETS:
         raise UsageError(f"target must be one of {TARGETS}, got {target!r}")
@@ -204,9 +200,8 @@ def attribute_batch(
         phi=phi,
         nu=nu,
         dominant=dominant_modality(nu),
-        baseline=float(values[0]),
         degenerate=degenerate,
         variant=variant,
         target=target,
-        coalition_values=dict(enumerate(values.tolist())),
+        coalition_values=values,
     )

@@ -17,6 +17,8 @@ with all arithmetic mod 2**64. Uniform doubles in [0, 1) take the top 53 bits
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import UsageError
@@ -60,9 +62,11 @@ class Rng:
         self._count = 0
 
     def raw64(self, n: int) -> np.ndarray:
-        """Next n raw uint64 outputs."""
+        """Next n raw uint64 outputs; 2**60 or more is a MemoryError: no array holds them."""
         if n < 0:
             raise UsageError("raw64 needs n >= 0")
+        if n >= 1 << 60:
+            raise MemoryError(f"a draw of {n} values does not fit in memory")
         base = np.uint64(self.seed)
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
@@ -74,14 +78,14 @@ class Rng:
     def uniform(self, shape: tuple[int, ...] | int = ()) -> np.ndarray | float:
         """Uniform float64 draws in [0, 1)."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = math.prod(shape)
         u = (self.raw64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return u.reshape(shape) if shape else float(u[0])
 
     def normal(self, shape: tuple[int, ...] | int = ()) -> np.ndarray | float:
         """Standard normal draws via Box-Muller on uniform pairs."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = math.prod(shape)
         m = (n + 1) // 2
         u = (self.raw64(2 * m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         r = np.sqrt(-2.0 * np.log1p(-u[:m]))  # u < 1 so the log argument is > 0

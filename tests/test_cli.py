@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from msam import cli, harness
 from msam.cli import main
 from msam.data import load_dataset
 
@@ -110,6 +111,41 @@ def test_train_config_and_preset_conflict(tmp_path, capsys):
     path, _ = write_config(tmp_path)
     assert main(["train", "--config", str(path), "--preset", "default"]) == 1
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_train", [2**64, 2**62])
+def test_train_sizes_no_array_can_hold_exit_1(tmp_path, capsys, n_train):
+    # the draw is refused before numpy is asked for anything
+    path, _ = write_config(tmp_path, epochs=1, data={"n_train": n_train})
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: out of memory: a draw of {n_train} values "
+                                       f"does not fit in memory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "export-data"])
+def test_a_failed_allocation_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # data.classes 2**32 + 1 asks numpy for 192 GiB of prototypes; numpy's
+    # MemoryError is raised here in place of that request
+    def refuse(spec):
+        raise MemoryError("Unable to allocate 192. GiB for an array with shape (25769803782,) "
+                          "and data type uint64")
+
+    monkeypatch.setattr(harness, "generate", refuse)
+    monkeypatch.setattr(cli, "generate", refuse)
+    out = tmp_path / "x.bin"
+    if command == "train":
+        path, _ = write_config(tmp_path, epochs=1, data={"classes": 2**32 + 1})
+        argv = ["train", "--config", str(path)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0], "n_train": 4,
+                                    "n_val": 2, "n_test": 2, "seed": 0}))
+        argv = ["export-data", "--spec", str(path), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 192. GiB for an "
+                                       "array with shape (25769803782,) and data type uint64\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_train_divergence_exits_2(tmp_path, capsys):
@@ -308,6 +344,8 @@ def test_convergence_needs_steps_csv(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("t,grad_norm\n1,0.5\n2,abc\n", "line 3: grad_norm 'abc' is not a number"),
     ("t,grad_norm\n1,0.5\n2\n", "line 3: grad_norm None is not a number"),
+    ("t,grad_norm\n1,0.5\n2,1_0\n", "line 3: grad_norm '1_0' is not a number"),
+    ("t,grad_norm\n1, 2 \n2,0.5\n", "line 2: grad_norm ' 2 ' is not a number"),
     ("t,loss\n1,0.5\n", "has no grad_norm column"),
     ("", "has no grad_norm column"),
     (b"t,grad_norm\n1,0.5\xff\n", "is not UTF-8 text"),
@@ -421,6 +459,11 @@ def test_export_data_validation(tmp_path, capsys):
     ({"n_train": 4.5}, "n_train must be an integer, got 4.5"),
     ({"seed": "7"}, "seed must be an integer, got '7'"),
     ([1, 2], "data spec must be a JSON object, got [1, 2]"),
+    # the file's header holds these in u32 fields
+    ({"classes": 2**32 + 1},
+     "classes must fit in a u32 field of the dataset file (below 2**32), got 4294967297"),
+    ({"dims": [4, 2**32]},
+     "dims must fit in a u32 field of the dataset file (below 2**32), got [4, 4294967296]"),
 ])
 def test_export_data_type_errors_exit_1(tmp_path, capsys, spec, message):
     if isinstance(spec, dict):

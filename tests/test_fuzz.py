@@ -3,16 +3,19 @@
 `resolve_config` gets arbitrary JSON trees built around the real config keys,
 and `load_dataset` arbitrary bytes around a valid file. Either call may only
 succeed or raise ConfigError/UsageError, and every config that resolves keeps
-its hash through `canonical()` and a JSON round trip. `cli.main` runs
-`landscape` and `gradcheck` with flag values around and beyond each range:
+its hash through `canonical()` and a JSON round trip. `cli.main` runs every
+subcommand with flag and config values around and beyond each range, and
+`landscape` and `shapley-audit` also on damaged copies of a checkpoint:
 every call exits 0, 1 or 2 without a traceback, and a call that fails leaves
-every file as it was. The runs use the suite's hypothesis profile
+every file as it was. Size fields are drawn below a small cap; the sizes no
+array can hold are explicit cases in `test_cli.py`. The runs use the suite's hypothesis profile
 (`conftest.py`): derandomized, so the suite sees the same examples every
 time.
 """
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import struct
@@ -235,3 +238,87 @@ def test_convergence_flags_and_cells_exit_cleanly(tiny_run, norms, calibrate_at)
     if calibrate_at is not None:
         argv.append(f"--calibrate-at={calibrate_at}")
     run_cli(argv, tiny_run)
+
+
+# Values for a config or spec field: any JSON type, integers kept small
+SMALL_LEAVES = (st.none() | st.booleans() | st.integers(-3, 12)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(NAMES)
+                | st.text(max_size=4))
+
+
+def drawn_config(draw, raw):
+    """`raw` (a nested config) with up to 3 fields set to drawn values."""
+    raw = json.loads(json.dumps(raw))
+    for path in draw(st.lists(st.sampled_from(PATHS), max_size=3)):
+        *sections, key = path.split(".")
+        node = functools.reduce(lambda tree, name: tree.setdefault(name, {}), sections, raw)
+        if isinstance(node, dict):  # an earlier draw may have replaced a section
+            node[key] = draw(near(DEFAULTS[path]) | SMALL_LEAVES)
+    return raw
+
+
+@CLI_FUZZ
+@given(data=st.data(), seed=INTS | st.none(), out=TAGS | st.none())
+def test_train_flags_and_config_values_exit_cleanly(tiny_run, data, seed, out):
+    raw = drawn_config(data.draw, json.loads((tiny_run / "config.json").read_text()))
+    raw["out_dir"] = str(tiny_run / "train" / "run")
+    config = tiny_run / "train" / "config.json"
+    config.parent.mkdir(exist_ok=True)
+    config.write_text(json.dumps(raw))
+    argv = ["train", f"--config={config}"]
+    argv += [f"--{flag}={value}" for flag, value in
+             (("seed", seed), ("out-dir", None if out is None else tiny_run / "train" / out))
+             if value is not None]
+    run_cli(argv, tiny_run)
+
+
+SPEC = {"classes": 3, "dims": [2, 1], "snr": [1.0, 0.5], "n_train": 4, "n_val": 2, "n_test": 2,
+        "seed": 0}
+SPEC_VALUES = {"classes": st.integers(-2, 6), "dims": st.lists(st.integers(-2, 4), max_size=3),
+               "snr": st.lists(FLOATS.map(float), max_size=3), "n_train": st.integers(-2, 6),
+               "n_val": st.integers(-2, 6), "n_test": st.integers(-2, 6),
+               "seed": st.sampled_from([-1, 2**64 - 1, 2**64]) | st.integers()}
+
+
+@CLI_FUZZ
+@given(data=st.data(), cut=st.none() | st.integers(0, 80),
+       out=TAGS.map(lambda tag: f"export/{tag}") | st.sampled_from(["export", "none/x.bin"]))
+def test_export_data_spec_values_and_paths_exit_cleanly(tiny_run, data, cut, out):
+    # a few fields drawn around their ranges, a key dropped or added, and
+    # sometimes the JSON text cut short
+    spec = dict(SPEC)
+    for key in data.draw(st.lists(st.sampled_from(sorted(SPEC)), max_size=3)):
+        spec[key] = data.draw(SPEC_VALUES[key] | SMALL_LEAVES)
+    for key in data.draw(st.lists(st.sampled_from(sorted(SPEC) + ["extra"]), max_size=1)):
+        spec.pop(key) if key in spec else spec.update(extra=1)
+    (tiny_run / "export").mkdir(exist_ok=True)
+    path = tiny_run / "export" / "spec.json"
+    path.write_text(json.dumps(spec)[:cut])
+    run_cli(["export-data", f"--spec={path}", f"--out={tiny_run / out}"], tiny_run)
+
+
+@CLI_FUZZ
+@given(data=st.data(), damage=st.sampled_from(["config cut", "config values", "params cut",
+                                                "params flip"]))
+def test_diagnostics_on_a_damaged_checkpoint_exit_cleanly(tiny_run, data, damage):
+    files = {name: (tiny_run / "run" / name).read_bytes() for name in ("config.json", "params.npz")}
+    raw = bytearray(files["params.npz"] if damage.startswith("params") else files["config.json"])
+    # cuts and flips land anywhere, or in the 40 bytes after a zip signature,
+    # where the headers keep the flags, method and version that reading checks
+    headers = [j for i in range(len(raw)) if raw.startswith(b"PK", i)
+               for j in range(i, min(i + 40, len(raw)))]
+    where = st.integers(0, len(raw) - 1) | st.sampled_from(headers or [0])
+    if damage.endswith("cut"):
+        del raw[data.draw(where):]
+    elif damage == "params flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(where)] ^= data.draw(st.integers(1, 255))
+    else:
+        raw = json.dumps(drawn_config(data.draw, json.loads(raw))).encode()
+    files["params.npz" if damage.startswith("params") else "config.json"] = bytes(raw)
+    checkpoint = tiny_run / "damaged"
+    checkpoint.mkdir(exist_ok=True)
+    for name, content in files.items():
+        (checkpoint / name).write_bytes(content)
+    run_cli(["landscape", f"--checkpoint={checkpoint}", "--res=3"], tiny_run)
+    run_cli(["shapley-audit", f"--checkpoint={checkpoint}"], tiny_run)

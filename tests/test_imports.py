@@ -5,7 +5,9 @@ read that name somewhere (a dotted access `np.x` reads `np`). `__init__.py`
 files are skipped because their imports are re-exports, and `__future__`
 imports bind nothing, and an import whose line says `# noqa: F401` is kept on
 purpose (the benchmark imports `msam.cli` only to time it). The package's
-re-exports are checked against `msam.__all__` instead.
+re-exports are checked against `msam.__all__` instead. A second scan checks
+that every private module-level function, class or constant of the package
+is read somewhere in the package, so a refactor leaves no unused helper.
 """
 
 import ast
@@ -53,3 +55,37 @@ def test_all_lists_exactly_the_reexports():
     names = [alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(msam.__all__) == sorted(names + ["__version__"])
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The `_name`s a module defines at its top level (dunders are not private)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Every name a module loads, bare (`_x`) or as an attribute (`harness._x`)."""
+    nodes = list(ast.walk(tree))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def test_private_scan_flags_only_unread_definitions():
+    tree = ast.parse("_A = 1\n_B: int = 2\n__all__ = []\nC = 3\n"
+                     "def _f():\n    return _A + m._g()\nclass _K:\n    pass\n"
+                     "def _g():\n    _B = 3\n")
+    assert private_definitions(tree) == {"_A", "_B", "_f", "_K", "_g"}
+    assert private_definitions(tree) - names_read(tree) == {"_B", "_f", "_K"}
+
+
+def test_every_private_definition_is_read():
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "msam").glob("*.py"))]
+    defined = set().union(*map(private_definitions, trees))
+    assert len(defined) > 50  # the scan sees the package
+    assert sorted(defined - set().union(*map(names_read, trees))) == []

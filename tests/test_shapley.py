@@ -72,9 +72,9 @@ def test_matches_permutation_enumeration(n):
 def test_two_player_worked_case():
     # phi0 = (0.6 + 0.8)/2 = 0.7, phi1 = (0.2 + 0.4)/2 = 0.3
     table = {0: 0.0, 1: 0.6, 2: 0.2, 3: 1.0}
-    phi, out_table = shapley_exact(table_fn(table), 2)
+    phi, values = shapley_exact(table_fn(table), 2)
     assert_allclose(phi, [0.7, 0.3], atol=1e-15)
-    assert out_table == table
+    assert values.dtype == np.float64 and values.tolist() == [0.0, 0.6, 0.2, 1.0]
 
 
 def test_efficiency_axiom():
@@ -121,16 +121,6 @@ def test_paper_variant_drops_empty_coalition_term():
     for m in range(3):
         assert_allclose(pap[m], std[m] - (table[1 << m] - table[0]) / 3.0, atol=1e-12)
     assert not np.allclose(std, pap)
-
-
-def test_seeded_values_skip_evaluation():
-    table = random_game(2, seed=16)
-
-    def explode(keep):
-        raise AssertionError("value_fn must not be called when fully seeded")
-
-    phi, _ = shapley_exact(explode, 2, values=table)
-    assert_allclose(phi, shapley_by_permutations(table, 2), atol=1e-12)
 
 
 @settings(max_examples=300)
@@ -232,11 +222,11 @@ def test_attribute_batch_table_covers_all_coalitions():
     before = m.counters["masked_forward"]
     att = attribute_batch(m, xs, labels)
     assert isinstance(att, ShapleyAttribution)
-    assert sorted(att.coalition_values) == list(range(8))
+    assert att.coalition_values.shape == (8,)
     assert m.counters["masked_forward"] - before == 8
     assert att.variant == "standard" and att.target == "loss"
-    # loss target negates, so the baseline is minus the empty-coalition loss
-    assert att.baseline == pytest.approx(-np.log(3.0), abs=1e-12)
+    # loss target negates, so v(empty) is minus the empty-coalition loss
+    assert att.coalition_values[0] == pytest.approx(-np.log(3.0), abs=1e-12)
 
 
 def test_attribute_batch_zeroed_branch_is_dummy():
@@ -279,11 +269,6 @@ def test_attribute_batch_full_loss_seed_is_equivalent():
     assert_array_equal(seeded.nu, plain.nu)
 
 
-def bits(table):
-    """A coalition table's values as exact bit patterns, so -0.0 differs from 0.0."""
-    return {mask: float(v).hex() for mask, v in table.items()}
-
-
 @pytest.mark.parametrize("fusion", ["late", "early"])
 @pytest.mark.parametrize("n_modalities", [1, 2, 3, 5, 8])
 def test_attribute_batch_counts_calls_and_matches_uncached_coalitions(fusion, n_modalities):
@@ -300,8 +285,7 @@ def test_attribute_batch_counts_calls_and_matches_uncached_coalitions(fusion, n_
             for mask in range(full)]
         full_loss, _ = evaluate(m, xs, labels)
         for target in ("loss", "accuracy"):
-            want = {mask: -loss if target == "loss" else acc
-                    for mask, (loss, acc) in enumerate(scores)}
+            want = np.array([-loss if target == "loss" else acc for loss, acc in scores])
             for variant in ("standard", "paper"):
                 want_phi = shapley_by_loop(want, n_modalities, variant)
                 for seed, calls in ((None, full), (full_loss, full - (target == "loss"))):
@@ -309,7 +293,10 @@ def test_attribute_batch_counts_calls_and_matches_uncached_coalitions(fusion, n_
                     att = attribute_batch(m, xs, labels, target=target, variant=variant,
                                           full_loss=seed)
                     assert m.counters["masked_forward"] - before == calls
-                    assert bits(att.coalition_values) == bits(want)
+                    # entry k is coalition k's score, bit for bit (-0.0 differs from 0.0)
+                    values = att.coalition_values
+                    assert values.dtype == np.float64 and values.shape == (full,)
+                    assert values.tobytes() == want.tobytes()
                     assert att.phi.tobytes() == want_phi.tobytes()
 
 
@@ -370,8 +357,7 @@ def test_attribute_batch_accuracy_target():
     m = three_modality_model(bias=True)
     xs, labels = model_batch(m)
     att = attribute_batch(m, xs, labels, target="accuracy")
-    vals = list(att.coalition_values.values())
-    assert all(0.0 <= v <= 1.0 for v in vals)
+    assert np.all((0.0 <= att.coalition_values) & (att.coalition_values <= 1.0))
     assert att.target == "accuracy"
     # efficiency: attributions account for full-vs-empty accuracy gap
     assert att.phi.sum() == pytest.approx(att.coalition_values[7] - att.coalition_values[0],

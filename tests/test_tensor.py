@@ -44,6 +44,18 @@ def test_raw64_rejects_negative():
         Rng(0).raw64(-1)
 
 
+@pytest.mark.parametrize("draw, size", [
+    ("uniform", (2**64,)), ("uniform", (2**30, 2**30)), ("normal", (2**62,)),
+    ("normal", (2**60 - 1,)), ("raw64", 2**60), ("permutation", 2**70),
+])
+def test_draws_no_array_can_hold_are_memory_errors(draw, size):
+    # refused before numpy is asked for anything, and nothing is drawn
+    rng = Rng(5)
+    with pytest.raises(MemoryError, match="does not fit in memory"):
+        getattr(rng, draw)(size)
+    assert rng.raw64(2).tolist() == Rng(5).raw64(2).tolist()
+
+
 def test_uniform_range_and_determinism():
     u = Rng(11).uniform((10_000,))
     assert u.min() >= 0.0 and u.max() < 1.0
