@@ -280,6 +280,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_export(args) -> int:
     spec = resolve_data_spec(read_json(args.spec, "spec"))
+    _check_writable(Path(args.out))
     splits = generate(spec)
     save_dataset(args.out, spec, splits)
     sizes = ", ".join(f"{ds.split}={ds.n}" for ds in splits)

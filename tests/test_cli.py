@@ -385,7 +385,7 @@ def _never_called(*args, **kwargs):
                                      "landscape:json-dir"])
 def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatch, command):
     for module, name in (("msam.harness", "train_step"), ("msam.cli", "landscape_grid"),
-                         ("msam.cli", "attribute_batch")):
+                         ("msam.cli", "attribute_batch"), ("msam.cli", "generate")):
         monkeypatch.setattr(f"{module}.{name}", _never_called)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0],

@@ -8,9 +8,9 @@ subcommand with flag and config values around and beyond each range, and
 `landscape` and `shapley-audit` also on damaged copies of a checkpoint:
 every call exits 0, 1 or 2 without a traceback, and a call that fails leaves
 every file as it was. Size fields are drawn below a small cap; the sizes no
-array can hold are explicit cases in `test_cli.py`. The runs use the suite's hypothesis profile
-(`conftest.py`): derandomized, so the suite sees the same examples every
-time.
+array can hold are explicit cases in `test_cli.py`. The runs use the suite's
+hypothesis profile (`conftest.py`): derandomized, so the suite sees the same
+examples every time.
 """
 
 import contextlib
@@ -258,8 +258,9 @@ def drawn_config(draw, raw):
 
 
 @CLI_FUZZ
-@given(data=st.data(), seed=INTS | st.none(), out=TAGS | st.none())
+@given(data=st.data(), seed=INTS | st.none(), out=TAGS.map(lambda tag: f"out/{tag}") | st.none())
 def test_train_flags_and_config_values_exit_cleanly(tiny_run, data, seed, out):
+    # every run directory stays under tiny_run/train, away from the shared files
     raw = drawn_config(data.draw, json.loads((tiny_run / "config.json").read_text()))
     raw["out_dir"] = str(tiny_run / "train" / "run")
     config = tiny_run / "train" / "config.json"
