@@ -84,10 +84,10 @@ def _prototypes(spec: SyntheticSpec, rng: Rng) -> list[Array]:
     """Unit-norm class prototypes, one (C, d_m) array per modality."""
     protos = []
     for d in spec.dims:
-        p = np.asarray(rng.normal((spec.classes, d)))
+        p = rng.normal((spec.classes, d))
         norms = np.linalg.norm(p, axis=1, keepdims=True)
         while np.any(norms < 1e-12):  # essentially impossible, but stay total
-            p = np.asarray(rng.normal((spec.classes, d)))
+            p = rng.normal((spec.classes, d))
             norms = np.linalg.norm(p, axis=1, keepdims=True)
         protos.append(p / norms)
     return protos
@@ -102,7 +102,7 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
         labels = rng.integers(spec.classes, n)
         xs = []
         for m, d in enumerate(spec.dims):
-            noise = np.asarray(rng.normal((n, d)))
+            noise = rng.normal((n, d))
             xs.append(spec.snr[m] * protos[m][labels] + noise)
         splits.append(Dataset(modalities=xs, labels=labels, split=name))
     return tuple(splits)

@@ -90,7 +90,7 @@ class LandscapeGrid:
 def _filter_normalized(theta: Array, slices: Sequence[slice], rng: Rng) -> Array:
     """Gaussian direction with each tensor's slice rescaled to that tensor's
     norm (zero tensors get a zero slice)."""
-    d = np.asarray(rng.normal((theta.size,)))
+    d = rng.normal(theta.size)
     for sl in slices:
         tn = float(np.linalg.norm(theta[sl]))
         sn = float(np.linalg.norm(d[sl]))
@@ -105,43 +105,35 @@ def landscape_grid_flat(
     resolution: int,
     radius: float,
     rng: Rng,
-    *,
-    directions: tuple[Array, Array] | None = None,
 ) -> LandscapeGrid:
     """Loss values at theta + alpha*d1 + beta*d2 over a centered grid.
 
     Directions are filter-normalized Gaussians, with d2 orthogonalized
     against the unit d1 and rescaled back to its pre-orthogonalization norm;
-    degenerate draws retry up to 5 times. `directions` overrides the draw
-    (used by symmetry tests and to compare methods on one slice). The center
-    cell is pinned to alpha = beta = 0 so it evaluates the unperturbed loss.
+    degenerate draws retry up to 5 times. The center cell is pinned to
+    alpha = beta = 0 so it evaluates the unperturbed loss.
     """
     if resolution < 3 or resolution % 2 == 0:
         raise UsageError(f"resolution must be an odd number >= 3, got {resolution}")
     if not 0.0 <= radius < math.inf:
         raise UsageError(f"radius must be finite and >= 0, got {radius}")
     theta = np.asarray(theta, dtype=np.float64)
-    if directions is not None:
-        d1, d2 = (np.asarray(d, dtype=np.float64) for d in directions)
-        if d1.shape != theta.shape or d2.shape != theta.shape:
-            raise UsageError("direction vectors must match theta's length")
+    for _ in range(5):
+        d1 = _filter_normalized(theta, slices, rng)
+        n1 = float(np.linalg.norm(d1))
+        if n1 < 1e-12:
+            continue
+        d2 = _filter_normalized(theta, slices, rng)
+        pre = float(np.linalg.norm(d2))
+        d1_hat = d1 / n1
+        d2 = d2 - (d2 @ d1_hat) * d1_hat
+        post = float(np.linalg.norm(d2))
+        if pre < 1e-12 or post < 1e-10 * pre:
+            continue
+        d2 = d2 * (pre / post)
+        break
     else:
-        for _ in range(5):
-            d1 = _filter_normalized(theta, slices, rng)
-            n1 = float(np.linalg.norm(d1))
-            if n1 < 1e-12:
-                continue
-            d2 = _filter_normalized(theta, slices, rng)
-            pre = float(np.linalg.norm(d2))
-            d1_hat = d1 / n1
-            d2 = d2 - (d2 @ d1_hat) * d1_hat
-            post = float(np.linalg.norm(d2))
-            if pre < 1e-12 or post < 1e-10 * pre:
-                continue
-            d2 = d2 * (pre / post)
-            break
-        else:
-            raise NumericError("could not draw non-degenerate landscape directions in 5 attempts")
+        raise NumericError("could not draw non-degenerate landscape directions in 5 attempts")
     # each coordinate's largest grid value sits at a corner, where it is this reach
     with np.errstate(over="ignore"):
         reach = np.abs(theta) + radius * (np.abs(d1) + np.abs(d2))
@@ -208,10 +200,10 @@ def sharpness_proxy_flat(
     base = loss_fn(theta)
     total = 0.0
     for _ in range(n_samples):
-        u = np.asarray(rng.normal((theta.size,)))
+        u = rng.normal(theta.size)
         nn = float(np.linalg.norm(u))
         while nn < 1e-12:
-            u = np.asarray(rng.normal((theta.size,)))
+            u = rng.normal(theta.size)
             nn = float(np.linalg.norm(u))
         total += loss_fn(theta + (rho / nn) * u) - base
     return total / n_samples

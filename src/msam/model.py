@@ -8,10 +8,10 @@ affine maps) followed by a linear head.
 One layer-stack forward serves every caller. `forward_masked` runs it for
 coalition masking and evaluation, returns the logits and never raises on
 overflow; the training passes (`loss_value_and_grad`,
-`terms_value_and_grad`) run it with every linear layer checked finite, then
-apply a hand-written backward to the activations it records. A coalition is
-always the set of modalities that stay active: everything else has its
-inputs zeroed before encoding. Every reader takes a coalition as its
+`terms_value_and_grad`) run it with every linear layer checked finite and
+record each term's `(acts, head)`, which the hand-written backward reads. A
+coalition is always the set of modalities that stay active: everything else
+has its inputs zeroed before encoding. Every reader takes a coalition as its
 bitmask (bit m set = modality m active), which only `_coalition` builds
 from the members, in one pass: `mask_inputs` tests its bits, and a cached
 `forward_masked` reads the table row it indexes.
@@ -111,22 +111,6 @@ class FusionSpec:
             raise ConfigError(f"width must be >= 1, got {self.width}")
         if self.mode == "early" and self.pieces < 2:
             raise ConfigError(f"pieces must be >= 2 for early fusion, got {self.pieces}")
-
-
-@dataclass
-class ForwardTrace:
-    """Intermediate values of one taped forward pass, as `_backward` reads them.
-
-    `acts[g]` is run g's branch, see `MultimodalModel._branches`. `hidden`
-    holds, for early fusion, the concatenated features and the stacked
-    maxout pieces, and is None for late fusion. `fused` is the maxout output
-    (early) or the logits (late).
-    """
-
-    acts: list[list] | None
-    hidden: list[Array] | None
-    fused: Array
-    logits: Array
 
 
 class _Layer(NamedTuple):
@@ -267,10 +251,16 @@ def _coalition(keep: Iterable[int], n_modalities: int) -> int:
     return mask
 
 
-def mask_inputs(xs: Sequence[Array], keep: Iterable[int], n_modalities: int) -> list[Array]:
+def mask_inputs(xs: Sequence[Array], keep: Iterable[int]) -> list[Array]:
     """Zero the inputs of every modality not in `keep` (the active coalition)."""
-    mask = _coalition(keep, n_modalities)
-    return [xs[m] if mask >> m & 1 else np.zeros_like(xs[m]) for m in range(n_modalities)]
+    mask = _coalition(keep, len(xs))
+    return [x if mask >> m & 1 else np.zeros_like(x) for m, x in enumerate(xs)]
+
+
+def _outputs(runs: list[list]) -> list[Array]:
+    """Each branch's output, one array per modality, from `_branches`' runs:
+    its head's logits under late fusion, its features under early fusion."""
+    return [out for run in runs for out in run[-1]]
 
 
 class MultimodalModel:
@@ -432,17 +422,19 @@ class MultimodalModel:
             self._raise_first(bad)
         return runs
 
-    def _fuse(self, acts: list[list] | None, outs: list[Array], checked: bool) -> ForwardTrace:
+    def _fuse(self, outs: list[Array], checked: bool) -> tuple[Array, tuple | None]:
         """Fusion of the branch outputs `outs`, one per modality: the late
         heads' logits summed in modality order, or the early maxout head on
-        the concatenated features. After `_branches` (whose `acts` the trace
-        keeps) this completes the layer stack; with `checked`, the first
-        non-finite linear layer output raises NumericError naming it."""
+        the concatenated features. After `_branches` this completes the layer
+        stack; with `checked`, the first non-finite linear layer output
+        raises NumericError naming it. Returns the logits and the `head`
+        `_backward` reads: (joint features, maxout pieces, their max) under
+        early fusion, None under late."""
         if self.fusion.mode == "late":
             logits = None
             for out in outs:
                 logits = out if logits is None else logits + out
-            return ForwardTrace(acts, None, logits, logits)
+            return logits, None
         stacks, (pieces_layer, out_layer) = self.params.stacks, self._fusion_layers
         bad = [] if checked else None
         joint = np.concatenate(outs, axis=1)
@@ -453,15 +445,10 @@ class MultimodalModel:
         self._finish(logits, out_layer, bad)
         if bad:
             self._raise_first(bad)
-        return ForwardTrace(acts, [joint, pieces], fused, logits[0])
+        return logits[0], (joint, pieces, fused)
 
-    def _forward(self, inputs: list[Array], checked: bool) -> ForwardTrace:
-        """The whole layer stack on `inputs`: every branch, then the fusion."""
-        acts = self._branches(inputs, checked)
-        return self._fuse(acts, [out for run in acts for out in run[-1]], checked)
-
-    def _backward(self, trace: ForwardTrace, g: Array) -> Array:
-        """Flat parameter gradient of one term, given its logit gradient `g`.
+    def _backward(self, acts: list[list], head: tuple | None, g: Array) -> Array:
+        """Flat parameter gradient of one pass `(acts, head)`, given its logit gradient `g`.
 
         Each parameter is used once per term, so every slice is written once,
         through the stacked views of one gradient buffer; each weight
@@ -475,9 +462,9 @@ class MultimodalModel:
         if self.fusion.mode == "late":
             g_runs = [g] * len(self._runs)  # every head's logits get the full gradient
         else:
-            joint, pieces = trace.hidden
+            joint, pieces, fused = head
             pieces_layer, out_layer = self._fusion_layers
-            np.matmul(trace.fused.T, g, out=grads[out_layer.w][0])
+            np.matmul(fused.T, g, out=grads[out_layer.w][0])
             if self.bias:
                 np.sum(g, axis=0, out=grads[out_layer.w + 1][0, 0])
             g_fused = g @ stacks[out_layer.w][0].T
@@ -491,10 +478,10 @@ class MultimodalModel:
                 g_joint = g_joint + c
             g_runs = [g_joint[:, run.cols].reshape(n, run.stop - run.start, -1).transpose(1, 0, 2)
                       for run in self._runs]
-        for run, acts, g in zip(self._runs, trace.acts, g_runs):
+        for run, run_acts, g in zip(self._runs, acts, g_runs):
             for i in reversed(range(len(run.layers))):
-                layer, h = run.layers[i], acts[i]
-                gz = g if layer.act is None else _act_backward(layer.act, g, acts[i + 1])
+                layer, h = run.layers[i], run_acts[i]
+                gz = g if layer.act is None else _act_backward(layer.act, g, run_acts[i + 1])
                 gw = grads[layer.w]
                 if i:
                     np.matmul(h.transpose(0, 2, 1), gz, out=gw)
@@ -524,27 +511,22 @@ class MultimodalModel:
         loss, passes, grad = None, [], None
         with np.errstate(over="ignore", invalid="ignore"):
             for keep, weight in terms:
-                trace = self._forward(mask_inputs(xs, keep, self.n_modalities), True)
+                acts = self._branches(mask_inputs(xs, keep), True)
+                logits, head = self._fuse(_outputs(acts), True)
                 w = 1.0 if weight is None else float(weight)
-                value, g = _cross_entropy(trace.logits, labels, onehot, w)
+                value, g = _cross_entropy(logits, labels, onehot, w)
                 loss = value if loss is None else loss + value
-                passes.append((trace, g))
+                passes.append((acts, head, g))
             if not np.isfinite(loss):
                 raise NumericError(f"loss is non-finite ({float(loss)})")
-            for trace, g in reversed(passes):
-                flat = self._backward(trace, g)
+            for acts, head, g in reversed(passes):
+                flat = self._backward(acts, head, g)
                 grad = flat if grad is None else grad + flat
         if not np.isfinite(grad).all():
             first = int(np.argmin(np.isfinite(grad)))
             name = next(k for k in self.params.names if first < self.params.slice_of(k).stop)
             raise NumericError(f"gradient of {name} is non-finite")
         return float(loss), grad
-
-    def _branch_outputs(self, inputs: list[Array]) -> list[Array]:
-        """Each branch's output on `inputs`, one array per modality: its
-        head's logits under late fusion, its features under early fusion.
-        The other activations are dropped on return."""
-        return [out for run in self._branches(inputs, False) for out in run[-1]]
 
     def branch_cache(self, xs: Sequence[Array], masks: Sequence[int] | None = None) -> BranchCache:
         """Coalition logits on this batch, from 2M branch passes.
@@ -581,8 +563,8 @@ class MultimodalModel:
         xs64 = self._check_inputs(xs)
         order = range(n_masks) if masks is None else masks
         with np.errstate(over="ignore", invalid="ignore"):
-            sides = (self._branch_outputs([np.zeros_like(x) for x in xs64]),
-                     self._branch_outputs(xs64))
+            sides = (_outputs(self._branches([np.zeros_like(x) for x in xs64], False)),
+                     _outputs(self._branches(xs64, False)))
             table = np.empty((len(order), len(xs64[0]), self.classes))
             if masks is None and self.fusion.mode == "late":
                 off, on = sides
@@ -594,7 +576,7 @@ class MultimodalModel:
             else:
                 for i, k in enumerate(order):
                     outs = [sides[k >> m & 1][m] for m in range(self.n_modalities)]
-                    table[i] = self._fuse(None, outs, False).logits
+                    table[i] = self._fuse(outs, False)[0]
         table.flags.writeable = False  # its rows are handed out as logits
         rows = None if masks is None else {k: i for i, k in enumerate(masks)}
         return BranchCache(self, self.params._flat, tuple(xs), table, rows)
@@ -613,10 +595,10 @@ class MultimodalModel:
         counted.
         """
         if cache is None:
-            masked = mask_inputs(self._check_inputs(xs), keep, self.n_modalities)
+            masked = mask_inputs(self._check_inputs(xs), keep)
             self.counters["masked_forward"] += 1
             with np.errstate(over="ignore", invalid="ignore"):
-                return self._forward(masked, False).logits
+                return self._fuse(_outputs(self._branches(masked, False)), False)[0]
         # unpacked once: attribution makes 2**M - 1 of these reads per batch
         model, flat, inputs, table, rows = cache
         if model is not self or flat is not self.params._flat:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .autodiff import ParameterVector
 from .errors import ConfigError, UsageError
-from .model import MultimodalModel, loss_and_accuracy
+from .model import MultimodalModel, evaluate
 from .shapley import TARGETS, VARIANTS, attribute_batch
 
 Array = np.ndarray
@@ -110,13 +110,12 @@ class OptimConfig:
 
 
 class OptimState:
-    """Mutable per-run optimizer state: step count, momentum buffer, the last
-    perturbation taken, and the cached modality weights."""
+    """Mutable per-run optimizer state: step count, momentum buffer and the
+    cached modality weights."""
 
     def __init__(self, n_params: int):
         self.t = 0
         self.velocity = np.zeros(n_params, dtype=np.float64)
-        self.last_eps = np.zeros(n_params, dtype=np.float64)
         self.last_nu: Array | None = None
         self.last_dominant: int | None = None
 
@@ -168,13 +167,11 @@ def _step(
         direction = mix(g_p) + cfg.weight_decay * theta
         eps_norm = float(np.linalg.norm(eps))
     else:
-        eps = np.zeros_like(theta)
         loss_p = None
         direction = g + cfg.weight_decay * theta
         eps_norm = 0.0
     state.velocity = cfg.momentum * state.velocity + direction
     params.load_flat(theta - lr_t * state.velocity)
-    state.last_eps = eps
     state.t = t
     return StepReport(t=t, loss=loss, grad_norm=gn, eps_norm=eps_norm, lr=lr_t, rho=rho_t,
                       loss_perturbed=loss_p, **report)
@@ -284,7 +281,7 @@ def msam_branch_step(
     """
     if model.fusion.mode != "late":
         raise UsageError("per-branch steps need a late-fusion model")
-    total_loss, _ = loss_and_accuracy(model.forward(xs), np.asarray(labels))
+    total_loss, _ = evaluate(model, xs, labels)
     nu, dom, recomputed = _current_weights(model, xs, labels, state, cfg, total_loss)
     dom_term = ((dom,), float(nu[dom]))
     rest = tuple(((m,), float(nu[m])) for m in range(model.n_modalities) if m != dom)

@@ -13,6 +13,8 @@ so the generator is pinned here rather than borrowed from numpy:
 
 with all arithmetic mod 2**64. Uniform doubles in [0, 1) take the top 53 bits
 (`raw >> 11` scaled by 2**-53); normals use Box-Muller on uniform pairs.
+Every draw returns an array of the requested shape (0-d for `()`), and a
+negative size is a UsageError.
 """
 
 from __future__ import annotations
@@ -49,6 +51,14 @@ def derive_seed(*parts: int) -> int:
     return s
 
 
+def _shape(shape: tuple[int, ...] | int) -> tuple[int, ...]:
+    """A draw's shape as a tuple; a negative size is a UsageError."""
+    sizes = (shape,) if isinstance(shape, int) else tuple(shape)
+    if any(size < 0 for size in sizes):
+        raise UsageError(f"draw shape must hold sizes >= 0, got {shape}")
+    return sizes
+
+
 class Rng:
     """Counter-based SplitMix64 stream with uniform/normal/permutation draws.
 
@@ -75,29 +85,27 @@ class Rng:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
-    def uniform(self, shape: tuple[int, ...] | int = ()) -> np.ndarray | float:
-        """Uniform float64 draws in [0, 1)."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = math.prod(shape)
-        u = (self.raw64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return u.reshape(shape) if shape else float(u[0])
+    def uniform(self, shape: tuple[int, ...] | int) -> np.ndarray:
+        """Uniform float64 draws in [0, 1), as an array of `shape`."""
+        shape = _shape(shape)
+        u = (self.raw64(math.prod(shape)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return u.reshape(shape)
 
-    def normal(self, shape: tuple[int, ...] | int = ()) -> np.ndarray | float:
-        """Standard normal draws via Box-Muller on uniform pairs."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    def normal(self, shape: tuple[int, ...] | int) -> np.ndarray:
+        """Standard normal draws of `shape` via Box-Muller on uniform pairs."""
+        shape = _shape(shape)
         n = math.prod(shape)
         m = (n + 1) // 2
-        u = (self.raw64(2 * m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = self.uniform((2 * m,))
         r = np.sqrt(-2.0 * np.log1p(-u[:m]))  # u < 1 so the log argument is > 0
         ang = (2.0 * np.pi) * u[m:]
-        z = np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n]
-        return z.reshape(shape) if shape else float(z[0])
+        return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n].reshape(shape)
 
     def integers(self, upper: int, size: int) -> np.ndarray:
         """size int64 draws uniform on [0, upper)."""
         if upper <= 0:
             raise UsageError("integers needs upper >= 1")
-        u = np.asarray(self.uniform((size,)))
+        u = self.uniform((size,))
         return np.minimum((u * upper).astype(np.int64), upper - 1)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -93,7 +93,7 @@ def backward(model, trace, g):
 def forward_masked(model, xs, keep):
     """Logits with only the coalition `keep` active; never raises on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return forward(model, mask_inputs(xs, keep, model.n_modalities), False)[3]
+        return forward(model, mask_inputs(xs, keep), False)[3]
 
 
 def value_and_grad(model, xs, labels, terms):
@@ -105,7 +105,7 @@ def value_and_grad(model, xs, labels, terms):
     loss, passes, grad = None, [], None
     with np.errstate(over="ignore", invalid="ignore"):
         for keep, weight in terms:
-            trace = forward(model, mask_inputs(xs, keep, model.n_modalities), True)
+            trace = forward(model, mask_inputs(xs, keep), True)
             w = 1.0 if weight is None else float(weight)
             value, g = _cross_entropy(trace[3], labels, onehot, w)
             loss = value if loss is None else loss + value

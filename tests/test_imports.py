@@ -7,7 +7,9 @@ imports bind nothing, and an import whose line says `# noqa: F401` is kept on
 purpose (the benchmark imports `msam.cli` only to time it). The package's
 re-exports are checked against `msam.__all__` instead. A second scan checks
 that every private module-level function, class or constant of the package
-is read somewhere in the package, so a refactor leaves no unused helper.
+is read somewhere in the package, so a refactor leaves no unused helper. A
+third checks the same of every private method of a class and every
+`self.<attr>` the package stores, so no state is kept that nothing reads.
 """
 
 import ast
@@ -89,3 +91,35 @@ def test_every_private_definition_is_read():
     defined = set().union(*map(private_definitions, trees))
     assert len(defined) > 50  # the scan sees the package
     assert sorted(defined - set().union(*map(names_read, trees))) == []
+
+
+def class_members(tree: ast.Module) -> set[str]:
+    """The private methods of a module's classes and the `self.<attr>`s it stores."""
+    nodes = list(ast.walk(tree))
+    methods = {f.name for c in nodes if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, ast.FunctionDef) and f.name.startswith("_")
+               and not f.name.startswith("__")}
+    stored = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+              and isinstance(n.value, ast.Name) and n.value.id == "self"}
+    return methods | stored
+
+
+def attributes_loaded(tree: ast.Module) -> set[str]:
+    """Every attribute a module reads; a store (`self.x = 1`) is no read."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_member_scan_flags_only_unread_members():
+    tree = ast.parse("class K:\n    def __init__(self):\n        self.a, self.b = 1, 2\n"
+                     "        other.c = 3\n    def _f(self):\n        return self.a\n"
+                     "    def _g(self):\n        return self._f()\n    def h(self):\n        pass\n")
+    assert class_members(tree) == {"a", "b", "_f", "_g"}
+    assert class_members(tree) - attributes_loaded(tree) == {"b", "_g"}
+
+
+def test_every_private_method_and_stored_attribute_is_read():
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "msam").glob("*.py"))]
+    members = set().union(*map(class_members, trees))
+    assert len(members) > 20  # the scan sees the package
+    assert sorted(members - set().union(*map(attributes_loaded, trees))) == []

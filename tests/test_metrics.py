@@ -116,20 +116,15 @@ def test_landscape_quadratic_closed_form():
     n = 7
     theta = Rng(5).normal((n,))
     grid = landscape_grid_flat(quad_loss(np.zeros(n)), theta, [slice(0, n)], 7, 0.5, Rng(6))
+    # the grid is symmetric about a center pinned to exactly 0.0; linspace
+    # rounds its steps, so the mirror holds to a unit in the last place
+    assert_allclose(grid.alphas, -grid.alphas[::-1], rtol=0, atol=1e-15)
+    assert_allclose(grid.betas, -grid.betas[::-1], rtol=0, atol=1e-15)
+    assert grid.alphas[3] == 0.0 and grid.betas[3] == 0.0
     for i, a in enumerate(grid.alphas):
         for j, b in enumerate(grid.betas):
             p = theta + a * grid.d1 + b * grid.d2
             assert_allclose(grid.losses[i, j], 0.5 * p @ p, atol=1e-9)
-
-
-def test_landscape_direction_flip_mirrors_grid():
-    n = 6
-    theta = Rng(7).normal((n,))
-    d1, d2 = Rng(8).normal((n,)), Rng(9).normal((n,))
-    loss_fn = quad_loss(Rng(10).normal((n,)))
-    a = landscape_grid_flat(loss_fn, theta, [], 5, 0.4, Rng(0), directions=(d1, d2))
-    b = landscape_grid_flat(loss_fn, theta, [], 5, 0.4, Rng(0), directions=(-d1, -d2))
-    assert_allclose(b.losses, a.losses[::-1, ::-1], atol=1e-12)
 
 
 def test_landscape_directions_are_filter_normalized():
@@ -152,8 +147,6 @@ def test_landscape_validation():
     for radius in (-0.1, np.nan, np.inf):
         with pytest.raises(UsageError, match="radius"):
             landscape_grid_flat(fn, theta, [], 3, radius, Rng(0))
-    with pytest.raises(UsageError):
-        landscape_grid_flat(fn, theta, [], 3, 0.1, Rng(0), directions=(np.ones(3), np.ones(4)))
 
 
 def test_landscape_grid_restores_model_params():

@@ -140,11 +140,11 @@ def test_non_float64_inputs_match_their_float64_copies(build, convert):
 
 def test_mask_inputs_zeroes_inactive():
     xs = [np.ones((2, 3)), np.full((2, 2), 5.0)]
-    out = mask_inputs(xs, {1}, 2)
+    out = mask_inputs(xs, {1})
     assert_array_equal(out[0], np.zeros((2, 3)))
     assert out[1] is xs[1]
     with pytest.raises(UsageError):
-        mask_inputs(xs, {-1}, 2)
+        mask_inputs(xs, {-1})
 
 
 @pytest.mark.parametrize("build", [late_model, early_model])

@@ -157,7 +157,6 @@ def test_sam_eps_norm_is_scheduled_rho():
     for expect in (0.2, 0.2 / np.sqrt(2.0), 0.2 / np.sqrt(3.0)):
         rep = sam_step(lambda: model.loss_value_and_grad(xs, labels), model.params, state, cfg)
         assert_allclose(rep.eps_norm, expect, atol=1e-12)
-        assert_allclose(np.linalg.norm(state.last_eps), expect, atol=1e-12)
         assert rep.rho == pytest.approx(expect)
 
 
@@ -174,7 +173,8 @@ def test_sam_evaluates_at_perturbed_point_and_restores():
     sam_step(vag, params, state, OptimConfig(kind="sam", lr=0.01, rho=0.25))
     assert len(seen) == 2
     assert_array_equal(seen[0], [1.0])
-    assert_array_equal(seen[1], [1.0] + state.last_eps)
+    # theta + rho * g / ||g|| with theta = 1, g = 2, rho = 0.25
+    assert_array_equal(seen[1], [1.25])
     # descent starts from the unperturbed parameters
     g_p = 2.0 * seen[1]
     assert_allclose(params.flatten(), seen[0] - 0.01 * g_p, atol=1e-15)
@@ -191,14 +191,13 @@ def test_failed_perturbed_pass_restores_parameters_and_state():
         return 2.5, np.array([1.0, 0.0])
 
     state = OptimState(2)
-    state.t, state.velocity, state.last_eps = 3, np.array([0.25, -0.5]), np.array([0.125, 0.0])
+    state.t, state.velocity = 3, np.array([0.25, -0.5])
     with pytest.raises(NumericError):
         sam_step(vag, params, state, OptimConfig(kind="sam", lr=0.1, momentum=0.5, rho=0.5))
     assert_array_equal(calls[1], [1.5, 2.0])
     assert params.flatten().tobytes() == np.array([1.0, 2.0]).tobytes()
     assert state.t == 3
     assert state.velocity.tobytes() == np.array([0.25, -0.5]).tobytes()
-    assert state.last_eps.tobytes() == np.array([0.125, 0.0]).tobytes()
 
 
 def test_sam_zero_grad_skips_second_pass():
@@ -214,7 +213,6 @@ def test_sam_zero_grad_skips_second_pass():
     assert len(calls) == 1
     assert rep.loss_perturbed is None
     assert rep.eps_norm == 0.0
-    assert_array_equal(state.last_eps, [0.0])
 
 
 # ------------------------------------------------------------------ msam steps
@@ -316,7 +314,6 @@ def test_zero_grad_saddle_skips_perturbed_pass(kind):
     assert rep.grad_norm == 0.0
     assert rep.loss_perturbed is None
     assert rep.eps_norm == 0.0
-    assert_array_equal(state.last_eps, np.zeros(model.n_params))
     # msam_branch spends one taped pass per branch group, dominant and rest
     assert model.counters["taped"] == (2 if kind == "msam_branch" else 1)
     assert rep.loss == pytest.approx(np.log(3.0), abs=1e-12)

@@ -56,6 +56,13 @@ def test_draws_no_array_can_hold_are_memory_errors(draw, size):
     assert rng.raw64(2).tolist() == Rng(5).raw64(2).tolist()
 
 
+@pytest.mark.parametrize("draw", ["normal", "uniform"])
+@pytest.mark.parametrize("shape", [-1, (-1,), (-1, 1), (-1, -1)], ids=str)
+def test_draws_reject_negative_sizes(draw, shape):
+    with pytest.raises(UsageError, match="sizes >= 0"):
+        getattr(Rng(0), draw)(shape)
+
+
 def test_uniform_range_and_determinism():
     u = Rng(11).uniform((10_000,))
     assert u.min() >= 0.0 and u.max() < 1.0
@@ -78,9 +85,10 @@ def test_normal_moments():
 
 
 def test_normal_shapes_and_odd_lengths():
-    assert isinstance(Rng(3).normal(), float)
+    assert Rng(3).normal(()).shape == ()
     assert Rng(3).normal((3,)).shape == (3,)
     assert Rng(3).normal((2, 5)).shape == (2, 5)
+    assert Rng(3).normal((np.int64(3),)).shape == (3,)  # a numpy integer size
     # odd requests burn a full Box-Muller pair; prefix property still holds
     a = Rng(9).normal((5,))
     b = Rng(9).normal((5,))
