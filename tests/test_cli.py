@@ -180,8 +180,8 @@ def test_unknown_command_exits_1():
 
 def test_gradcheck_passes_and_prints(capsys):
     assert main(["gradcheck", "--preset", "default"]) == 0
-    got = capsys.readouterr().out
-    assert "PASS" in got and "max_rel_err=" in got
+    assert capsys.readouterr().out == ("gradcheck: max_rel_err=1.775e-11 worst_coord=217 "
+                                       "checked=100 h=1e-05 tol=0.0001 PASS\n")
 
 
 def test_gradcheck_impossible_tol_exits_2(capsys):
@@ -253,7 +253,9 @@ def test_landscape_radius_beyond_the_float_range_names_the_flag(checkpoint, caps
 
 def test_audit_standard_satisfies_efficiency(checkpoint, capsys):
     assert main(["shapley-audit", "--checkpoint", str(checkpoint)]) == 0
-    assert "efficiency_ok=true" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "shapley-audit: variant=standard target=loss dominant=m1 nu=[0.8761, 0.1239] "
+        f"efficiency_ok=true -> {checkpoint / 'shapley_audit.csv'}\n")
     text = (checkpoint / "shapley_audit.csv").read_text()
     assert "coalition,m1+m2" in text
     assert "dominant," in text
@@ -266,8 +268,11 @@ def test_audit_paper_variant_differs_and_breaks_efficiency(checkpoint, tmp_path,
                  "--out", str(std_out)]) == 0
     assert main(["shapley-audit", "--checkpoint", str(checkpoint),
                  "--variant", "paper", "--out", str(pap_out)]) == 0
-    got = capsys.readouterr().out
-    assert "efficiency_ok=true" in got and "efficiency_ok=false" in got
+    assert capsys.readouterr().out == (
+        "shapley-audit: variant=standard target=loss dominant=m1 nu=[0.8761, 0.1239] "
+        f"efficiency_ok=true -> {std_out}\n"
+        "shapley-audit: variant=paper target=loss dominant=m1 nu=[0.8911, 0.1089] "
+        f"efficiency_ok=false -> {pap_out}\n")
     assert std_out.read_text() != pap_out.read_text()
 
 
