@@ -16,7 +16,6 @@ from .harness import (
     compare,
     config_hash,
     load_checkpoint,
-    load_config,
     preset,
     resolve_config,
     run,
@@ -37,7 +36,6 @@ from .model import (
     FusionSpec,
     MultimodalModel,
     evaluate,
-    loss_and_accuracy,
     mask_inputs,
 )
 from .optim import (
@@ -67,7 +65,7 @@ __all__ = [
     "Rng", "derive_seed",
     "ParameterVector", "grad_check", "GradCheckReport",
     "EncoderSpec", "FusionSpec", "MultimodalModel",
-    "mask_inputs", "loss_and_accuracy", "evaluate",
+    "mask_inputs", "evaluate",
     "ShapleyAttribution", "shapley_exact", "normalize_weights",
     "dominant_modality", "attribute_batch",
     "Schedule", "OptimConfig", "OptimState", "StepReport",
@@ -76,7 +74,7 @@ __all__ = [
     "overfitting_gap", "relative_gain", "mono_modal_accuracy",
     "landscape_grid", "sharpness_proxy", "convergence_report",
     "SyntheticSpec", "Dataset", "generate", "batches", "save_dataset", "load_dataset",
-    "ExperimentConfig", "RunRecord", "resolve_config", "load_config", "config_hash",
+    "ExperimentConfig", "RunRecord", "resolve_config", "config_hash",
     "run", "compare", "load_checkpoint", "preset",
     "__version__",
 ]

@@ -119,8 +119,6 @@ class GradCheckReport:
     max_rel_err: float
     worst_coord: int
     n_checked: int
-    h: float
-    tol: float
     passed: bool
 
 
@@ -178,7 +176,5 @@ def grad_check(
         max_rel_err=max_rel,
         worst_coord=worst,
         n_checked=int(idxs.size),
-        h=h,
-        tol=tol,
         passed=max_rel <= tol,
     )

@@ -110,7 +110,7 @@ def _config_from_args(args, default_preset: str) -> ExperimentConfig:
     if isinstance(raw, dict):  # anything else is for resolve_config to reject
         if getattr(args, "seed", None) is not None:
             raw["seed"] = args.seed
-        if getattr(args, "out_dir", None):
+        if getattr(args, "out_dir", None) is not None:
             raw["out_dir"] = args.out_dir
     return resolve_config(raw)
 
@@ -177,8 +177,8 @@ def _cmd_landscape(args) -> int:
               ([a, *losses] for a, losses in zip(grid.alphas, grid.losses)))
     write_json(json_path, {
         "seed": seed,
-        "radius": grid.radius,
-        "resolution": grid.resolution,
+        "radius": args.radius,
+        "resolution": args.res,
         "split": args.split,
         "center_loss": grid.center_loss,
         "d1_norm": float(np.linalg.norm(grid.d1)),
@@ -198,7 +198,7 @@ def _pick_batch(config: ExperimentConfig, train, k: int):
 def _cmd_audit(args) -> int:
     config, model, (train, _val, _test) = load_checkpoint(args.checkpoint)
     xs, ys = _pick_batch(config, train, args.batch)
-    out = Path(args.out) if args.out else Path(args.checkpoint) / "shapley_audit.csv"
+    out = Path(args.out) if args.out is not None else Path(args.checkpoint) / "shapley_audit.csv"
     _check_writable(out)
     att = attribute_batch(model, xs, ys, target=args.target, variant=args.variant)
     eff_gap = float(att.phi.sum() - (att.coalition_values[-1] - att.coalition_values[0]))
@@ -213,7 +213,7 @@ def _cmd_audit(args) -> int:
              ["efficiency", "sum_phi - (v_full - v_empty)", eff_gap, eff_ok]]
     write_csv(out, ["row_type", "key", "value", "ok"], rows)
     print(
-        f"shapley-audit: variant={att.variant} target={att.target} "
+        f"shapley-audit: variant={args.variant} target={args.target} "
         f"dominant=m{att.dominant + 1} nu={np.round(att.nu, 4).tolist()} "
         f"efficiency_ok={str(eff_ok).lower()} -> {out}"
     )
@@ -234,7 +234,7 @@ def _cmd_gradcheck(args) -> int:
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"gradcheck: max_rel_err={report.max_rel_err:.3e} worst_coord={report.worst_coord} "
-        f"checked={report.n_checked} h={report.h:g} tol={report.tol:g} {verdict}"
+        f"checked={report.n_checked} h={args.h:g} tol={args.tol:g} {verdict}"
     )
     if not report.passed:
         raise NumericError(f"gradient check failed: max_rel_err={report.max_rel_err:.3e}")

@@ -167,7 +167,8 @@ _SCHEMA = (
     ("batch_size", _INT, 32, _at_least(1)),
     ("eval_every", _INT, 1, _at_least(1)),
     ("early_stop_patience", _INT, 0, _at_least(0)),
-    ("out_dir", _scalar("a string or null", str, type(None)), None, None),
+    ("out_dir", _scalar("a string or null", str, type(None)), None,
+     lambda x: "must not be empty" if x == "" else None),
     ("comparison", _list(_STR), [], _distinct_kinds),
     ("data.classes", _INT, 3, None),
     ("data.dims", _list(_INT), [6, 6], None),
@@ -332,18 +333,24 @@ def resolve_data_spec(raw: Any) -> SyntheticSpec:
 
 
 def read_json(path: str | Path, what: str = "config") -> Any:
-    """Parse a JSON file; a missing file or invalid JSON is a ConfigError naming the path."""
+    """Parse a JSON file; a missing file, invalid JSON or an object that
+    repeats a key is a ConfigError naming the path."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{what} file not found: {path}")
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{what} file {path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, an int too long, deep nesting
         raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    return resolve_config(read_json(path))
 
 
 @dataclass
@@ -356,7 +363,6 @@ class RunRecord:
     re-deriving anything.
     """
 
-    config_hash: str
     records: list[MetricRecord]
     steps: list[StepReport]
     convergence: ConvergenceReport | None
@@ -538,7 +544,6 @@ def run(config: ExperimentConfig) -> RunRecord:
     grad_norms = [r.grad_norm for r in steps]
     conv = convergence_report(grad_norms) if len(grad_norms) >= 2 else None
     record = RunRecord(
-        config_hash=config_hash(config),
         records=records,
         steps=steps,
         convergence=conv,
@@ -563,7 +568,7 @@ def _write_artifacts(config: ExperimentConfig, record: RunRecord) -> None:
     np.savez(out / "params.npz", **{name: params.view(name) for name in params.names})
     last, conv = record.records[-1], record.convergence
     write_json(out / "run_summary.json", {
-        "config_hash": record.config_hash,
+        "config_hash": config_hash(config),
         "epochs_run": last.epoch + 1,
         "stopped_early": record.stopped_early,
         "final": {"loss": last.loss, "acc": last.acc, "tau": last.tau, "dom_freq": last.dom_freq},
@@ -598,7 +603,7 @@ def load_checkpoint(run_dir: str | Path) -> tuple[ExperimentConfig, MultimodalMo
     npz_path = run_dir / "params.npz"
     if not cfg_path.exists() or not npz_path.exists():
         raise ConfigError(f"{run_dir} is not a checkpoint (need config.json and params.npz)")
-    config = load_config(cfg_path)
+    config = resolve_config(read_json(cfg_path))
     model = _new_model(config)
     try:  # TypeError: a .npy file (no context manager); RuntimeError: a damaged zip header
         with np.load(npz_path) as npz:

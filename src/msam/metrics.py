@@ -66,7 +66,7 @@ def mono_modal_accuracy(model: MultimodalModel, xs: Sequence[Array], labels: Arr
     index outside [0, M) is a UsageError. With a `cache` from
     `model.branch_cache(xs, ...)` that holds the singleton {m}, the logits are
     its table row, bit for bit those of the masked forward. Only the
-    accuracy is scored: it equals `loss_and_accuracy`'s second value."""
+    accuracy is scored, by the `accuracies` call `evaluate` makes."""
     logits = model.forward_masked(xs, (m,), cache)
     labels = np.asarray(labels)
     check_labels(labels, len(logits), model.classes)
@@ -82,8 +82,6 @@ class LandscapeGrid:
     alphas: Array
     betas: Array
     losses: Array
-    radius: float
-    resolution: int
     center_loss: float
 
 
@@ -150,7 +148,7 @@ def landscape_grid_flat(
             losses[i, j] = loss_fn(theta + a * d1 + b * d2)
     return LandscapeGrid(
         d1=d1, d2=d2, alphas=alphas, betas=betas, losses=losses,
-        radius=radius, resolution=resolution, center_loss=float(losses[mid, mid]),
+        center_loss=float(losses[mid, mid]),
     )
 
 

@@ -47,8 +47,8 @@ attribution passes, by one `is` check, and any other sequence only if it
 holds the same arrays. `mean_log_probs` and `accuracies` score such a stack
 in one pass, summing the exponentials of fewer than 8 classes as one
 `np.add` per class column once the stack holds 256 rows (see
-`_label_log_probs`); `loss_and_accuracy` scores one (N, C) batch with the
-same two calls.
+`_label_log_probs`); `evaluate` scores one (N, C) batch with the same two
+calls.
 """
 
 from __future__ import annotations
@@ -616,10 +616,6 @@ class MultimodalModel:
         self.counters["masked_forward"] += 1
         return table[row]
 
-    def forward(self, xs: Sequence[Array]) -> Array:
-        """Logits of a plain forward with every modality active."""
-        return self.forward_masked(xs, range(self.n_modalities))
-
     def loss_value_and_grad(self, xs: Sequence[Array], labels: Array) -> tuple[float, Array]:
         """Mean cross-entropy on the full batch and its flat gradient; one taped pass."""
         self.counters["taped"] += 1
@@ -651,31 +647,20 @@ def accuracies(logits: Array, labels: Array) -> Array:
     return (np.argmax(logits, axis=-1) == labels).mean(axis=-1)
 
 
-def loss_and_accuracy(logits: Array, labels: Array) -> tuple[float, float]:
-    """Mean softmax cross-entropy and top-1 accuracy of raw logits.
-
-    Uses the same log-sum-exp arithmetic as the training loss, so plain and
-    taped evaluations of one batch agree bit for bit.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if z.ndim != 2 or labels.shape != (z.shape[0],):
-        raise DimensionError(f"got logits {z.shape} with labels {labels.shape}")
-    if z.shape[0] == 0:
-        raise UsageError("need a non-empty batch")
-    check_labels(labels, z.shape[0], z.shape[1])
-    # non-finite logits (diverged model) pass through as inf/nan, not errors
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(-mean_log_probs(z, labels)), float(accuracies(z, labels))
-
-
 def evaluate(model: MultimodalModel, xs: Sequence[Array], labels: Array,
              cache: BranchCache | None = None) -> tuple[float, float]:
-    """Plain full-coalition loss and accuracy on one batch or split.
+    """Plain full-coalition mean cross-entropy and top-1 accuracy on one
+    batch or split.
 
-    Without a `cache` this is one direct forward of every branch; with one
-    from `model.branch_cache(xs, ...)` that holds the full coalition, it
-    scores that table row, bit for bit the same logits.
+    The loss uses the same log-sum-exp arithmetic as the training loss, so
+    plain and taped evaluations of one batch agree bit for bit. Without a
+    `cache` this is one direct forward of every branch; with one from
+    `model.branch_cache(xs, ...)` that holds the full coalition, it scores
+    that table row, bit for bit the same logits.
     """
     logits = model.forward_masked(xs, range(model.n_modalities), cache)
-    return loss_and_accuracy(logits, np.asarray(labels))
+    labels = np.asarray(labels)
+    check_labels(labels, len(logits), model.classes)
+    # non-finite logits (diverged model) pass through as inf/nan, not errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(-mean_log_probs(logits, labels)), float(accuracies(logits, labels))

@@ -29,7 +29,7 @@ import numpy as np
 from .autodiff import ParameterVector
 from .errors import ConfigError, UsageError
 from .model import MultimodalModel, evaluate
-from .shapley import TARGETS, VARIANTS, attribute_batch
+from .shapley import TARGETS, VARIANTS, ShapleyAttribution, attribute_batch
 
 Array = np.ndarray
 
@@ -111,13 +111,12 @@ class OptimConfig:
 
 class OptimState:
     """Mutable per-run optimizer state: step count, momentum buffer and the
-    cached modality weights."""
+    last Shapley attribution, whose modality weights later steps reuse."""
 
     def __init__(self, n_params: int):
         self.t = 0
         self.velocity = np.zeros(n_params, dtype=np.float64)
-        self.last_nu: Array | None = None
-        self.last_dominant: int | None = None
+        self.attribution: ShapleyAttribution | None = None
 
 
 @dataclass
@@ -134,7 +133,6 @@ class StepReport:
     nu: Array | None = None
     dominant: int | None = None
     shapley_recomputed: bool = False
-    branch_loss: float | None = None
 
 
 def _step(
@@ -215,17 +213,15 @@ def _current_weights(
 ) -> tuple[Array, int, bool]:
     """Cached-or-fresh modality weights according to `shapley_every`; the
     step about to be taken is number state.t + 1."""
-    recompute = state.last_nu is None or state.t % cfg.shapley_every == 0
+    recompute = state.attribution is None or state.t % cfg.shapley_every == 0
     if recompute:
-        att = attribute_batch(
+        state.attribution = attribute_batch(
             model, xs, labels,
             target=cfg.shapley_target,
             variant=cfg.shapley_variant,
             full_loss=full_loss,
         )
-        state.last_nu = att.nu
-        state.last_dominant = att.dominant
-    return state.last_nu, int(state.last_dominant), recompute
+    return state.attribution.nu, state.attribution.dominant, recompute
 
 
 def msam_step(
@@ -274,10 +270,10 @@ def msam_branch_step(
     term is perturbed along its own gradient, and the others contribute their
     unperturbed gradients.
 
-    Reports the full-batch loss under `loss`, the weighted branch sum under
-    `branch_loss`, and ||grad|| of the composite objective at theta under
-    `grad_norm`. With one modality the branch objective is 1.0 * L, which
-    makes this step coincide with `sam_step` exactly.
+    Reports the full-batch loss under `loss` and ||grad|| of the composite
+    objective at theta under `grad_norm`. With one modality the branch
+    objective is 1.0 * L, which makes this step coincide with `sam_step`
+    exactly.
     """
     if model.fusion.mode != "late":
         raise UsageError("per-branch steps need a late-fusion model")
@@ -285,14 +281,13 @@ def msam_branch_step(
     nu, dom, recomputed = _current_weights(model, xs, labels, state, cfg, total_loss)
     dom_term = ((dom,), float(nu[dom]))
     rest = tuple(((m,), float(nu[m])) for m in range(model.n_modalities) if m != dom)
-    loss_d, g_d = model.terms_value_and_grad(xs, labels, (dom_term,))
-    loss_s, g_s = model.terms_value_and_grad(xs, labels, rest)
+    _, g_d = model.terms_value_and_grad(xs, labels, (dom_term,))
+    _, g_s = model.terms_value_and_grad(xs, labels, rest)
     return _step(
         model.params, state, cfg, cfg.rho, total_loss, g_d + g_s, g_d,
         lambda: model.terms_value_and_grad(xs, labels, (dom_term,)),
         lambda g_dp: g_dp + g_s,
         nu=np.array(nu), dominant=dom, shapley_recomputed=recomputed,
-        branch_loss=loss_d + loss_s,
     )
 
 

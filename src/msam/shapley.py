@@ -55,8 +55,6 @@ class ShapleyAttribution:
     nu: Array
     dominant: int
     degenerate: bool
-    variant: str
-    target: str
     coalition_values: Array
 
 
@@ -201,7 +199,5 @@ def attribute_batch(
         nu=nu,
         dominant=dominant_modality(nu),
         degenerate=degenerate,
-        variant=variant,
-        target=target,
         coalition_values=values,
     )

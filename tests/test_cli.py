@@ -421,6 +421,24 @@ def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatc
     assert sorted(tmp_path.rglob("*")) + sorted(checkpoint.rglob("*")) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "given.json", "--out-dir", ""],
+    ["train", "--config", "empty.json"],
+    ["shapley-audit", "--checkpoint", "run", "--out", ""],
+], ids=["train --out-dir", "config out_dir", "shapley-audit --out"])
+def test_an_empty_output_path_exits_1_and_writes_nothing(tmp_path, checkpoint, capsys,
+                                                         monkeypatch, argv):
+    write_config(tmp_path, "given.json", out_dir=str(tmp_path / "out"))
+    write_config(tmp_path, "empty.json", out_dir="")
+    shutil.copytree(checkpoint, tmp_path / "run")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("error: [Errno 21] Is a directory: '.'\n" if argv[-2] == "--out"
+                                       else "error: out_dir must not be empty, got ''\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_unwritable_output_error_names_the_requested_path(tmp_path, checkpoint, capsys):
     out = tmp_path / "missing" / "a.csv"
     assert main(["shapley-audit", "--checkpoint", str(checkpoint), "--out", str(out)]) == 1
@@ -457,6 +475,15 @@ def test_export_data_validation(tmp_path, capsys):
     extra.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0],
                                  "n_train": 4, "n_val": 2, "n_test": 2, "fraction": 0.5}))
     assert main(["export-data", "--spec", str(extra), "--out", str(tmp_path / "x.bin")]) == 1
+
+
+def test_export_data_rejects_a_repeated_key(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"classes": 3, "dims": [4, 3], "snr": [2.0, 0.5], "n_train": 20, '
+                         '"n_val": 10, "n_test": 10, "seed": 7, "classes": 4}')
+    assert main(["export-data", "--spec", str(spec_path), "--out", str(tmp_path / "x.bin")]) == 1
+    assert capsys.readouterr().err == f"error: spec file {spec_path} repeats the key 'classes'\n"
+    assert not (tmp_path / "x.bin").exists()
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -19,8 +19,8 @@ from numpy.testing import assert_array_equal
 
 from msam import harness
 from msam.errors import ConfigError, MsamError, NumericError
-from msam.harness import (compare, config_hash, load_checkpoint, load_config,
-                          preset, resolve_config, run)
+from msam.harness import (compare, config_hash, load_checkpoint, preset, read_json,
+                          resolve_config, run)
 
 
 def tiny_raw(**kw):
@@ -222,16 +222,28 @@ def test_config_hash_semantics(tmp_path):
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(tiny_raw()))
-    assert load_config(path) == resolve_config(tiny_raw())
+    assert resolve_config(read_json(path)) == resolve_config(tiny_raw())
     with pytest.raises(ConfigError, match="not found"):
-        load_config(tmp_path / "missing.json")
+        read_json(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
-        load_config(bad)
+        read_json(bad)
     bad.write_bytes(b"\xff\xfe{}")
     with pytest.raises(ConfigError, match="bad.json is not valid JSON"):
-        load_config(bad)
+        read_json(bad)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"epochs": 1, "epochs": 2}', "epochs"),
+    ('{"data": {"n_train": 32, "n_val": 8, "n_train": 16}}', "n_train"),
+])
+def test_a_repeated_json_key_is_a_config_error(tmp_path, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        read_json(path)
+    assert str(err.value) == f"config file {path} repeats the key {key!r}"
 
 
 # ------------------------------------------------------------------------ runs
@@ -253,7 +265,6 @@ def test_run_structure_and_budget():
     assert len(rec.steps) == cfg.epochs * cfg.steps_per_epoch == 6
     assert len(rec.records) == 2  # eval_every defaults to 1
     assert rec.convergence is not None
-    assert rec.config_hash == config_hash(cfg)
     assert not rec.stopped_early
     # msam with rho > 0: two taped passes per step, 2^M - 1 masked forwards
     # per Shapley recompute plus one per split/modality evaluation pass
@@ -330,7 +341,7 @@ def test_run_writes_artifacts(tmp_path):
     for name in ("config.json", "metrics.csv", "steps.csv", "params.npz", "run_summary.json"):
         assert (out / name).exists(), name
     summary = json.loads((out / "run_summary.json").read_text())
-    assert summary["config_hash"] == rec.config_hash
+    assert summary["config_hash"] == config_hash(cfg)
     assert summary["n_steps"] == len(rec.steps)
     assert summary["epochs_run"] == 2
     saved_cfg = json.loads((out / "config.json").read_text())

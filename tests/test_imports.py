@@ -9,7 +9,10 @@ re-exports are checked against `msam.__all__` instead. A second scan checks
 that every private module-level function, class or constant of the package
 is read somewhere in the package, so a refactor leaves no unused helper. A
 third checks the same of every private method of a class and every
-`self.<attr>` the package stores, so no state is kept that nothing reads.
+`self.<attr>` the package stores, so no state is kept that nothing reads. A
+fourth checks that every public method and annotated class field of the
+package is read in the package or the benchmark, so no return form or result
+field is kept that only tests read.
 """
 
 import ast
@@ -123,3 +126,57 @@ def test_every_private_method_and_stored_attribute_is_read():
     members = set().union(*map(class_members, trees))
     assert len(members) > 20  # the scan sees the package
     assert sorted(members - set().union(*map(attributes_loaded, trees))) == []
+
+
+def public_members(tree: ast.Module) -> set[str]:
+    """`Class.name` for each public method of a module's classes and each
+    field they annotate in their body. A NamedTuple's fields are left out:
+    unpacking reads them by position, which no name in the source shows."""
+    members = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            named_tuple = any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases)
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                      and not named_tuple):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.add(f"{cls.name}.{name}")
+    return members
+
+
+def members_read(tree: ast.Module) -> set[str]:
+    """Every attribute a module loads and every string it holds, such as an
+    `__all__` entry or the name of a patched method."""
+    return attributes_loaded(tree) | {n.value for n in ast.walk(tree)
+                                      if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+# Public members that only the frozen guarantee suite reads, with where it does.
+READ_ONLY_BY_TESTS = {
+    "RunRecord.final_params": "tests/test_acceptance.py:149",
+    "RunRecord.datasets": "tests/test_acceptance.py:184 and :213",
+}
+
+
+def test_public_member_scan_flags_only_unread_members():
+    tree = ast.parse("class K:\n    a: int\n    b: int = 0\n    c = 1\n"
+                     "    def f(self):\n        return self.a\n    def g(self):\n        pass\n"
+                     "    def _h(self):\n        pass\n    def __len__(self):\n        return 0\n"
+                     "patch(K, 'g')\nclass T(NamedTuple):\n    x: int\n")
+    assert public_members(tree) == {"K.a", "K.b", "K.f", "K.g"}
+    assert {m for m in public_members(tree)
+            if m.partition(".")[2] not in members_read(tree)} == {"K.b", "K.f"}
+
+
+def test_every_public_member_is_read():
+    package = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "msam").glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    members = set().union(*map(public_members, package))
+    assert len(members) > 100  # the scan sees the package
+    read = set().union(*map(members_read, package + bench))
+    assert sorted(m for m in members if m.partition(".")[2] not in read) == sorted(READ_ONLY_BY_TESTS)

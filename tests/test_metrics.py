@@ -17,7 +17,7 @@ from msam.errors import NumericError, UsageError
 from msam.metrics import (convergence_report, landscape_grid, landscape_grid_flat,
                           mono_modal_accuracy, overfitting_gap, relative_gain,
                           sharpness_proxy, sharpness_proxy_flat)
-from msam.model import EncoderSpec, FusionSpec, MultimodalModel, loss_and_accuracy
+from msam.model import EncoderSpec, FusionSpec, MultimodalModel, accuracies
 from msam.tensor import Rng
 
 
@@ -54,7 +54,7 @@ def test_mono_modal_accuracy_matches_masked_forward():
     xs = [Rng(40).normal((10, 3)), Rng(41).normal((10, 2))]
     labels = Rng(42).integers(3, 10)
     for m in range(2):
-        _, want = loss_and_accuracy(model.forward_masked(xs, (m,)), labels)
+        want = float(accuracies(model.forward_masked(xs, (m,)), labels))
         assert mono_modal_accuracy(model, xs, labels, m) == want
     with pytest.raises(UsageError):
         mono_modal_accuracy(model, xs, labels, 2)

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import branch_reference as ref
 from msam.errors import ConfigError, DimensionError, UsageError
 from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, accuracies, evaluate,
-                        loss_and_accuracy, mask_inputs, mean_log_probs)
+                        mask_inputs, mean_log_probs)
 from msam.metrics import mono_modal_accuracy
 from msam.tensor import Rng
 
@@ -65,7 +66,8 @@ def test_identity_encoder_feeds_raw_input():
     m = MultimodalModel([EncoderSpec(3)], FusionSpec("late", width=2), classes=2, bias=False)
     xs = [np.array([[1.0, -2.0, 0.5]])]
     hidden = np.maximum(xs[0] @ m.params.view("head0.l0.w"), 0.0)
-    assert_array_equal(m.forward(xs), hidden @ m.params.view("head0.l1.w"))
+    assert_array_equal(m.forward_masked(xs, range(m.n_modalities)),
+                       hidden @ m.params.view("head0.l1.w"))
 
 
 def test_init_is_seed_deterministic():
@@ -101,14 +103,15 @@ def test_config_validation():
 def test_input_validation():
     m = late_model()
     xs, labels = make_batch(m)
+    full = range(m.n_modalities)
     with pytest.raises(DimensionError):
-        m.forward([xs[0]])
+        m.forward_masked([xs[0]], full)
     with pytest.raises(DimensionError):
-        m.forward([xs[0], xs[1][:, :1]])
+        m.forward_masked([xs[0], xs[1][:, :1]], full)
     with pytest.raises(DimensionError):
-        m.forward([xs[0], xs[1][:4]])
+        m.forward_masked([xs[0], xs[1][:4]], full)
     with pytest.raises(UsageError):
-        m.forward([xs[0][:0], xs[1][:0]])
+        m.forward_masked([xs[0][:0], xs[1][:0]], full)
     with pytest.raises(DimensionError):
         m.loss_value_and_grad(xs, labels[:3])
     with pytest.raises(UsageError):
@@ -126,7 +129,7 @@ def test_non_float64_inputs_match_their_float64_copies(build, convert):
     xs, labels = make_batch(m)
     given = [convert(x) for x in xs]
     copies = [np.asarray(x, dtype=np.float64) for x in given]
-    assert_array_equal(m.forward(given), m.forward(copies))
+    assert_array_equal(m.forward_masked(given, (0, 1)), m.forward_masked(copies, (0, 1)))
     assert_array_equal(m.forward_masked(given, {1}), m.forward_masked(copies, {1}))
     assert_array_equal(m.branch_cache(given).table, m.branch_cache(copies).table)
     loss, grad = m.loss_value_and_grad(given, labels)
@@ -151,7 +154,7 @@ def test_mask_inputs_zeroes_inactive():
 def test_full_coalition_equals_forward(build):
     m = build()
     xs, _ = make_batch(m)
-    assert_array_equal(m.forward_masked(xs, (0, 1)), m.forward(xs))
+    assert_array_equal(m.forward_masked(xs, (0, 1)), ref.forward(m, xs, False)[3])
 
 
 @pytest.mark.parametrize("build", [late_model, early_model])
@@ -359,7 +362,7 @@ def test_coalition_reads_by_bitmask(case):
                 assert got.tobytes() == want.tobytes()
         for k in range(n_modalities):
             for cache in (None, full) + ((partial,) if 1 << k in masks else ()):
-                want = loss_and_accuracy(m.forward_masked(xs, (k,), cache), labels)[1]
+                want = float(accuracies(m.forward_masked(xs, (k,), cache), labels))
                 before = dict(m.counters)
                 assert mono_modal_accuracy(m, xs, labels, k, cache) == want
                 assert m.counters["masked_forward"] == before["masked_forward"] + 1
@@ -380,13 +383,13 @@ def test_masked_term_grads_vanish_off_coalition():
 def test_maxout_pieces_commute_in_value():
     m = early_model()
     xs, _ = make_batch(m)
-    ref = m.forward(xs)
+    before = m.forward_masked(xs, (0, 1))
     flat = m.params.flatten()
     for name in ("w", "b"):
         s0, s1 = m.params.slice_of(f"fusion.p0.{name}"), m.params.slice_of(f"fusion.p1.{name}")
         flat[s0], flat[s1] = flat[s1].copy(), flat[s0].copy()
     m.params.load_flat(flat)
-    assert_array_equal(m.forward(xs), ref)
+    assert_array_equal(m.forward_masked(xs, (0, 1)), before)
 
 
 # ------------------------------------------------------------------ loss paths
@@ -394,20 +397,20 @@ def test_maxout_pieces_commute_in_value():
 
 def test_zero_logits_loss_is_log_classes():
     labels = np.array([0, 1, 2, 3])
-    loss, acc = loss_and_accuracy(np.zeros((4, 4)), labels)
+    loss, acc = -mean_log_probs(np.zeros((4, 4)), labels), accuracies(np.zeros((4, 4)), labels)
     assert_allclose(loss, np.log(4.0), atol=1e-12)
     assert acc == 0.25  # argmax of zeros is class 0
 
 
-def test_loss_and_accuracy_validation():
+def test_evaluate_label_validation():
+    m = late_model()
+    xs, labels = make_batch(m)
     with pytest.raises(DimensionError):
-        loss_and_accuracy(np.zeros(4), np.array([0]))
+        evaluate(m, xs, labels[:3])
     with pytest.raises(UsageError):
-        loss_and_accuracy(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        evaluate(m, xs, np.full(len(labels), m.classes))
     with pytest.raises(UsageError):
-        loss_and_accuracy(np.zeros((2, 2)), np.array([0, 2]))
-    with pytest.raises(UsageError):
-        loss_and_accuracy(np.zeros((2, 2)), np.array([0.0, 1.0]))
+        evaluate(m, xs, labels.astype(np.float64))
 
 
 @pytest.mark.parametrize("build", [late_model, early_model])
@@ -443,7 +446,7 @@ def test_terms_require_nonempty_on_tape():
 def test_pass_counters():
     m = late_model()
     xs, labels = make_batch(m)
-    m.forward(xs)
+    m.forward_masked(xs, (0, 1))
     m.forward_masked(xs, {0})
     m.loss_value_and_grad(xs, labels)
     m.terms_value_and_grad(xs, labels, [])
@@ -528,7 +531,7 @@ def test_stacked_scores_equal_single_scores_bitwise(case):
     with np.errstate(all="ignore"):
         logps, accs = mean_log_probs(z, labels), accuracies(z, labels)
         for k, row in enumerate(z):
-            loss, acc = loss_and_accuracy(row, labels)
+            loss, acc = float(-mean_log_probs(row, labels)), float(accuracies(row, labels))
             reference = reference_mean_loss(np.ascontiguousarray(row), labels)
             assert float(-logps[k]).hex() == loss.hex() == reference.hex()
             assert float(accs[k]).hex() == acc.hex()

@@ -18,7 +18,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from msam import shapley
 from msam.errors import DimensionError, NumericError, UsageError
-from msam.model import EncoderSpec, FusionSpec, MultimodalModel, evaluate, loss_and_accuracy
+from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, accuracies, evaluate,
+                        mean_log_probs)
 from msam.shapley import (ShapleyAttribution, attribute_batch, dominant_modality,
                           normalize_weights, shapley_exact)
 from msam.tensor import Rng
@@ -224,7 +225,6 @@ def test_attribute_batch_table_covers_all_coalitions():
     assert isinstance(att, ShapleyAttribution)
     assert att.coalition_values.shape == (8,)
     assert m.counters["masked_forward"] - before == 8
-    assert att.variant == "standard" and att.target == "loss"
     # loss target negates, so v(empty) is minus the empty-coalition loss
     assert att.coalition_values[0] == pytest.approx(-np.log(3.0), abs=1e-12)
 
@@ -279,10 +279,11 @@ def test_attribute_batch_counts_calls_and_matches_uncached_coalitions(fusion, n_
     # pairwise block, where the row mean's summation order changes shape
     for rows in (1, 5, 16, 130):
         xs, labels = model_batch(m, n=rows, seed=50 + rows)
-        # the reference: one uncached masked forward and `loss_and_accuracy` per coalition
-        scores = [loss_and_accuracy(m.forward_masked(
-            xs, [k for k in range(n_modalities) if mask >> k & 1]), labels)
-            for mask in range(full)]
+        # the reference: one uncached masked forward, scored alone, per coalition
+        logits = [m.forward_masked(xs, [k for k in range(n_modalities) if mask >> k & 1])
+                  for mask in range(full)]
+        scores = [(float(-mean_log_probs(z, labels)), float(accuracies(z, labels)))
+                  for z in logits]
         full_loss, _ = evaluate(m, xs, labels)
         for target in ("loss", "accuracy"):
             want = np.array([-loss if target == "loss" else acc for loss, acc in scores])
@@ -358,7 +359,6 @@ def test_attribute_batch_accuracy_target():
     xs, labels = model_batch(m)
     att = attribute_batch(m, xs, labels, target="accuracy")
     assert np.all((0.0 <= att.coalition_values) & (att.coalition_values <= 1.0))
-    assert att.target == "accuracy"
     # efficiency: attributions account for full-vs-empty accuracy gap
     assert att.phi.sum() == pytest.approx(att.coalition_values[7] - att.coalition_values[0],
                                           abs=1e-12)
