@@ -421,21 +421,20 @@ def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatc
     assert sorted(tmp_path.rglob("*")) + sorted(checkpoint.rglob("*")) == before
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--config", "given.json", "--out-dir", ""],
-    ["train", "--config", "empty.json"],
-    ["shapley-audit", "--checkpoint", "run", "--out", ""],
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--config", "given.json", "--out-dir", ""], "out_dir must not be empty, got ''"),
+    (["train", "--config", "empty.json"], "out_dir must not be empty, got ''"),
+    (["shapley-audit", "--checkpoint", "run", "--out", ""], "[Errno 21] Is a directory: '.'"),
 ], ids=["train --out-dir", "config out_dir", "shapley-audit --out"])
 def test_an_empty_output_path_exits_1_and_writes_nothing(tmp_path, checkpoint, capsys,
-                                                         monkeypatch, argv):
+                                                         monkeypatch, argv, message):
     write_config(tmp_path, "given.json", out_dir=str(tmp_path / "out"))
     write_config(tmp_path, "empty.json", out_dir="")
     shutil.copytree(checkpoint, tmp_path / "run")
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 1
-    assert capsys.readouterr().err == ("error: [Errno 21] Is a directory: '.'\n" if argv[-2] == "--out"
-                                       else "error: out_dir must not be empty, got ''\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -184,9 +184,9 @@ def test_single_branch_oracle_late_biasfree():
 def test_inactive_input_is_irrelevant(build):
     m = build()
     xs, _ = make_batch(m)
-    ref = m.forward_masked(xs, {0})
+    want = m.forward_masked(xs, {0})
     xs2 = [xs[0], xs[1] + 1000.0]
-    assert_array_equal(m.forward_masked(xs2, {0}), ref)
+    assert_array_equal(m.forward_masked(xs2, {0}), want)
 
 
 def random_model(rng, n_modalities, fusion, activation, bias):
