@@ -291,6 +291,9 @@ def _cmd_export(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():  # "" would name the working directory
+            if value == "":
+                raise ConfigError(f"--{name.replace('_', '-')} must not be empty")
         return args.func(args)
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)

@@ -20,7 +20,7 @@ class ConfigError(MsamError):
 
 
 class UsageError(MsamError):
-    """An API was called out of contract (double backward, bad mask, empty batch)."""
+    """An API was called out of contract (bad coalition mask, stale cache, empty batch)."""
 
 
 class NumericError(MsamError):

@@ -67,7 +67,9 @@ def mono_modal_accuracy(model: MultimodalModel, xs: Sequence[Array], labels: Arr
     `model.branch_cache(xs, ...)` that holds the singleton {m}, the logits are
     its table row, bit for bit those of the masked forward. Only the
     accuracy is scored, by the `accuracies` call `evaluate` makes."""
-    logits = model.forward_masked(xs, (m,), cache)
+    if not 0 <= m < model.n_modalities:
+        raise UsageError(f"modality {m} outside [0, {model.n_modalities})")
+    logits = model.forward_masked(xs, 1 << m, cache)
     labels = np.asarray(labels)
     check_labels(labels, len(logits), model.classes)
     return float(accuracies(logits, labels))

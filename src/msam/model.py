@@ -11,10 +11,10 @@ overflow; the training passes (`loss_value_and_grad`,
 `terms_value_and_grad`) run it with every linear layer checked finite and
 record each term's `(acts, head)`, which the hand-written backward reads. A
 coalition is always the set of modalities that stay active: everything else
-has its inputs zeroed before encoding. Every reader takes a coalition as its
-bitmask (bit m set = modality m active), which only `_coalition` builds
-from the members, in one pass: `mask_inputs` tests its bits, and a cached
-`forward_masked` reads the table row it indexes.
+has its inputs zeroed before encoding. Every read names a coalition by its
+bitmask (bit m set = modality m active): `mask_inputs` tests its bits, and a
+cached `forward_masked` reads the table row it indexes. Only a training
+term's `keep` lists members, which `_coalition` folds into a bitmask.
 
 The layer table, built once in `__init__`, groups consecutive modalities
 with equal `EncoderSpec` into runs. Their parameter blocks are equal, so each
@@ -144,12 +144,11 @@ class BranchCache(NamedTuple):
     A coalition is a bitmask k (bit m set = modality m active). With `rows`
     None the table is full and `table[k]` holds coalition k's logits;
     otherwise `table[rows[k]]` does, for the coalitions `rows` names. The
-    table is read-only. `model`, `flat` (the parameter buffer, which
-    `load_flat` replaces rather than writes) and `inputs` identify what the
+    table is read-only. `flat` (the parameter buffer, a copy that each
+    `load_flat` owns, so no other model's) and `inputs` identify what the
     cache is valid for.
     """
 
-    model: "MultimodalModel"
     flat: Array
     inputs: tuple[Array, ...]
     table: Array
@@ -251,9 +250,11 @@ def _coalition(keep: Iterable[int], n_modalities: int) -> int:
     return mask
 
 
-def mask_inputs(xs: Sequence[Array], keep: Iterable[int]) -> list[Array]:
-    """Zero the inputs of every modality not in `keep` (the active coalition)."""
-    mask = _coalition(keep, len(xs))
+def mask_inputs(xs: Sequence[Array], mask: int) -> list[Array]:
+    """Zero the inputs of every modality not in the coalition `mask` (bit m
+    set = modality m active); a mask outside [0, 2**M) is a UsageError."""
+    if not 0 <= mask < 1 << len(xs):
+        raise UsageError(f"coalition mask {mask} outside [0, {1 << len(xs)})")
     return [x if mask >> m & 1 else np.zeros_like(x) for m, x in enumerate(xs)]
 
 
@@ -511,7 +512,7 @@ class MultimodalModel:
         loss, passes, grad = None, [], None
         with np.errstate(over="ignore", invalid="ignore"):
             for keep, weight in terms:
-                acts = self._branches(mask_inputs(xs, keep), True)
+                acts = self._branches(mask_inputs(xs, _coalition(keep, len(xs))), True)
                 logits, head = self._fuse(_outputs(acts), True)
                 w = 1.0 if weight is None else float(weight)
                 value, g = _cross_entropy(logits, labels, onehot, w)
@@ -579,40 +580,37 @@ class MultimodalModel:
                     table[i] = self._fuse(outs, False)[0]
         table.flags.writeable = False  # its rows are handed out as logits
         rows = None if masks is None else {k: i for i, k in enumerate(masks)}
-        return BranchCache(self, self.params._flat, tuple(xs), table, rows)
+        return BranchCache(self.params._flat, tuple(xs), table, rows)
 
-    def forward_masked(
-        self, xs: Sequence[Array], keep: Iterable[int], cache: BranchCache | None = None
-    ) -> Array:
-        """Logits of a plain forward with only the coalition `keep` active.
+    def forward_masked(self, xs: Sequence[Array], mask: int,
+                       cache: BranchCache | None = None) -> Array:
+        """Logits of a plain forward with only the coalition of bitmask `mask` active.
 
         Unlike the training passes this never raises on overflow: evaluation
         of a diverged model reports inf/nan values as they are. With a
         `cache` from `branch_cache(xs)` nothing runs: the logits are the
-        coalition's read-only table row. A cache built for another model,
-        other inputs or older parameters, or a partial cache without this
-        coalition, is a UsageError. Only a call that passes every check is
-        counted.
+        coalition's read-only table row. A mask outside [0, 2**M), a cache
+        built for another model, other inputs or older parameters, or a
+        partial cache without this coalition, is a UsageError. Only a call
+        that passes every check is counted.
         """
         if cache is None:
-            masked = mask_inputs(self._check_inputs(xs), keep)
+            masked = mask_inputs(self._check_inputs(xs), mask)
             self.counters["masked_forward"] += 1
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._fuse(_outputs(self._branches(masked, False)), False)[0]
         # unpacked once: attribution makes 2**M - 1 of these reads per batch
-        model, flat, inputs, table, rows = cache
-        if model is not self or flat is not self.params._flat:
+        flat, inputs, table, rows = cache
+        if flat is not self.params._flat:
             raise UsageError("branch cache was built for another model or older parameters")
         # attribution passes the cache's own tuple: one `is` check for it
         if xs is not inputs and (len(xs) != len(inputs)
                                  or not all(map(operator.is_, xs, inputs))):
             raise UsageError("branch cache was built from other inputs")
-        row = mask = _coalition(keep, len(inputs))
-        if rows is not None:
-            row = rows.get(mask)
-            if row is None:
-                members = [m for m in range(len(inputs)) if mask >> m & 1]
-                raise UsageError(f"coalition {members} is not in the branch cache")
+        # a negative mask must not index from the end, where the full coalition is
+        row = mask if rows is None else rows.get(mask, -1)
+        if not 0 <= row < len(table):
+            raise UsageError(f"coalition mask {mask} is not in the branch cache")
         self.counters["masked_forward"] += 1
         return table[row]
 
@@ -658,7 +656,7 @@ def evaluate(model: MultimodalModel, xs: Sequence[Array], labels: Array,
     `model.branch_cache(xs, ...)` that holds the full coalition, it scores
     that table row, bit for bit the same logits.
     """
-    logits = model.forward_masked(xs, range(model.n_modalities), cache)
+    logits = model.forward_masked(xs, (1 << model.n_modalities) - 1, cache)
     labels = np.asarray(labels)
     check_labels(labels, len(logits), model.classes)
     # non-finite logits (diverged model) pass through as inf/nan, not errors

@@ -9,14 +9,14 @@ Every coalition value is computed exactly once, into one float64 vector
 indexed by bitmask (bit m set = modality m active). For a model,
 `attribute_batch` first caches each modality's branch on its input and on
 zeros, so one attribution costs 2M branch passes, which fill one table of
-every coalition's logits under either fusion mode, then 2**M counted
-coalitions (one fewer when the caller seeds the full coalition's loss), each
-a row of that table, read by passing the cache's own `inputs` tuple, which
-the cached read accepts by one `is` check. The rows are scored in one
-stacked pass (`model.mean_log_probs` or `model.accuracies`) into the
-vector, and phi is one vectorized sum over a plan of weights and mask
-indices cached per (M, variant): each player's terms add in ascending mask
-order, as a plain loop over masks adds them. Two variants exist:
+every coalition's logits under either fusion mode, then 2**M counted reads
+by bitmask (one fewer when the caller seeds the full coalition's loss),
+each a row of that table, on the cache's own `inputs` tuple, which the
+cached read accepts by one `is` check. The rows are scored in one stacked
+pass (`model.mean_log_probs` or `model.accuracies`) into the vector, and
+phi is one vectorized sum over a plan of weights and mask indices cached
+per (M, variant): each player's terms add in ascending mask order, as a
+plain loop over masks adds them. Two variants exist:
 "standard" sums over all S including the empty coalition (the classic
 definition, for which the efficiency axiom sum(phi) = v(full) - v(empty)
 holds exactly), and "paper" drops the empty coalition from the sum, kept for
@@ -80,13 +80,6 @@ def _plan(n_players: int, variant: str) -> tuple[Array, Array, Array]:
     return np.pad(w, first, constant_values=1.0), np.pad(lo, first), np.pad(hi, first)
 
 
-@functools.cache
-def _coalitions(n_players: int) -> tuple[tuple[int, ...], ...]:
-    """The members of every coalition, indexed by bitmask."""
-    return tuple(tuple(m for m in range(n_players) if mask >> m & 1)
-                 for mask in range(1 << n_players))
-
-
 def _phi(values: Array, variant: str) -> Array:
     """Shapley values from the value of every coalition, indexed by bitmask.
 
@@ -118,7 +111,8 @@ def shapley_exact(
     value is a NumericError naming the lowest such coalition.
     """
     _check_players(n_players, variant)
-    values = np.array([float(value_fn(frozenset(members))) for members in _coalitions(n_players)])
+    values = np.array([float(value_fn(frozenset(m for m in range(n_players) if mask >> m & 1)))
+                       for mask in range(1 << n_players)])
     return _phi(values, variant), values
 
 
@@ -182,8 +176,8 @@ def attribute_batch(
     # one counted call per coalition, each returning a row of the table, on
     # the cache's own inputs tuple, which the cached path accepts by `is`
     inputs = cache.inputs
-    for members in _coalitions(n)[:count]:
-        model.forward_masked(inputs, members, cache)
+    for mask in range(count):
+        model.forward_masked(inputs, mask, cache)
     stack = cache.table[:count]
     values = np.empty(1 << n)
     # non-finite coalition values are _phi's NumericError, not warnings

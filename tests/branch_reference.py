@@ -9,7 +9,7 @@ backward. `tests/test_stacked.py` compares the model against it bit for bit.
 import numpy as np
 
 from msam.errors import NumericError
-from msam.model import _act_backward, _cross_entropy, mask_inputs
+from msam.model import _act_backward, _coalition, _cross_entropy, mask_inputs
 
 _ACT = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
 
@@ -93,7 +93,7 @@ def backward(model, trace, g):
 def forward_masked(model, xs, keep):
     """Logits with only the coalition `keep` active; never raises on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return forward(model, mask_inputs(xs, keep), False)[3]
+        return forward(model, mask_inputs(xs, _coalition(keep, len(xs))), False)[3]
 
 
 def value_and_grad(model, xs, labels, terms):
@@ -105,7 +105,7 @@ def value_and_grad(model, xs, labels, terms):
     loss, passes, grad = None, [], None
     with np.errstate(over="ignore", invalid="ignore"):
         for keep, weight in terms:
-            trace = forward(model, mask_inputs(xs, keep), True)
+            trace = forward(model, mask_inputs(xs, _coalition(keep, len(xs))), True)
             w = 1.0 if weight is None else float(weight)
             value, g = _cross_entropy(trace[3], labels, onehot, w)
             loss = value if loss is None else loss + value

@@ -422,9 +422,9 @@ def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["train", "--config", "given.json", "--out-dir", ""], "out_dir must not be empty, got ''"),
+    (["train", "--config", "given.json", "--out-dir", ""], "--out-dir must not be empty"),
     (["train", "--config", "empty.json"], "out_dir must not be empty, got ''"),
-    (["shapley-audit", "--checkpoint", "run", "--out", ""], "[Errno 21] Is a directory: '.'"),
+    (["shapley-audit", "--checkpoint", "run", "--out", ""], "--out must not be empty"),
 ], ids=["train --out-dir", "config out_dir", "shapley-audit --out"])
 def test_an_empty_output_path_exits_1_and_writes_nothing(tmp_path, checkpoint, capsys,
                                                          monkeypatch, argv, message):
@@ -436,6 +436,44 @@ def test_an_empty_output_path_exits_1_and_writes_nothing(tmp_path, checkpoint, c
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# every string flag but `train --out-dir` and `shapley-audit --out`, which
+# the test above covers
+EMPTY_FLAGS = {
+    "train --config": ["train", "--config", ""],
+    "train --preset": ["train", "--preset", ""],
+    "gradcheck --config": ["gradcheck", "--config", ""],
+    "gradcheck --preset": ["gradcheck", "--preset", ""],
+    "landscape --checkpoint": ["landscape", "--checkpoint", "", "--res", "3"],
+    "landscape --tag": ["landscape", "--checkpoint", ".", "--res", "3", "--tag", ""],
+    "shapley-audit --checkpoint": ["shapley-audit", "--checkpoint", ""],
+    "convergence --run": ["convergence", "--run", ""],
+    "export-data --spec": ["export-data", "--spec", "", "--out", "data.bin"],
+    "export-data --out": ["export-data", "--spec", "spec.json", "--out", ""],
+}
+
+
+@pytest.mark.parametrize("argv", EMPTY_FLAGS.values(), ids=EMPTY_FLAGS.keys())
+def test_an_empty_flag_value_exits_1_and_writes_nothing(tmp_path, checkpoint, capsys,
+                                                       monkeypatch, argv):
+    # run from a copy of a run directory, which an empty path would name
+    run = tmp_path / "run"
+    shutil.copytree(checkpoint, run)
+    (run / "spec.json").write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0],
+                                               "n_train": 4, "n_val": 2, "n_test": 2,
+                                               "seed": 0}))
+    monkeypatch.chdir(run)
+
+    def files():
+        return {path: path.read_bytes() if path.is_file() else None
+                for path in tmp_path.rglob("*")}
+
+    before = files()
+    assert main(argv) == 1
+    flag = argv[argv.index("") - 1]
+    assert capsys.readouterr() == ("", f"error: {flag} must not be empty\n")
+    assert files() == before
 
 
 def test_unwritable_output_error_names_the_requested_path(tmp_path, checkpoint, capsys):

@@ -12,7 +12,8 @@ third checks the same of every private method of a class and every
 `self.<attr>` the package stores, so no state is kept that nothing reads. A
 fourth checks that every public method and annotated class field of the
 package is read in the package or the benchmark, so no return form or result
-field is kept that only tests read.
+field is kept that only tests read. A fifth checks the same of every public
+module-level function, class and constant.
 """
 
 import ast
@@ -62,8 +63,8 @@ def test_all_lists_exactly_the_reexports():
     assert sorted(msam.__all__) == sorted(names + ["__version__"])
 
 
-def private_definitions(tree: ast.Module) -> set[str]:
-    """The `_name`s a module defines at its top level (dunders are not private)."""
+def definitions(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top level."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -71,7 +72,18 @@ def private_definitions(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The `_name`s a module defines at its top level (dunders are not private)."""
+    return {name for name in definitions(tree)
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    """The names without a leading underscore a module defines at its top level."""
+    return {name for name in definitions(tree) if not name.startswith("_")}
 
 
 def names_read(tree: ast.Module) -> set[str]:
@@ -87,6 +99,32 @@ def test_private_scan_flags_only_unread_definitions():
                      "def _g():\n    _B = 3\n")
     assert private_definitions(tree) == {"_A", "_B", "_f", "_K", "_g"}
     assert private_definitions(tree) - names_read(tree) == {"_B", "_f", "_K"}
+
+
+def test_public_scan_flags_only_unread_definitions():
+    tree = ast.parse("A = 1\nB: int = 2\n_C = 3\n__all__ = ['D']\n"
+                     "def d():\n    return A + m.e()\nclass K:\n    pass\ndef e():\n    pass\n")
+    assert public_definitions(tree) == {"A", "B", "d", "K", "e"}
+    assert public_definitions(tree) - names_read(tree) == {"B", "d", "K"}
+
+
+# Public definitions that only tests read, with which tests do.
+DEFINED_FOR_TESTS = {
+    "shapley_exact": "tests/test_acceptance.py",
+    "relative_gain": "tests/test_acceptance.py",
+    "load_dataset": "tests/test_data.py and tests/test_fuzz.py",
+}
+
+
+def test_every_public_definition_is_read():
+    # `__init__.py` only re-exports, and its `__all__` strings are no reads
+    package = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "msam").glob("*.py"))
+               if p.name != "__init__.py"]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    defined = set().union(*map(public_definitions, package))
+    assert len(defined) > 50  # the scan sees the package
+    read = set().union(*map(names_read, package + bench))
+    assert sorted(defined - read) == sorted(DEFINED_FOR_TESTS)
 
 
 def test_every_private_definition_is_read():

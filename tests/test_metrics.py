@@ -54,7 +54,7 @@ def test_mono_modal_accuracy_matches_masked_forward():
     xs = [Rng(40).normal((10, 3)), Rng(41).normal((10, 2))]
     labels = Rng(42).integers(3, 10)
     for m in range(2):
-        want = float(accuracies(model.forward_masked(xs, (m,)), labels))
+        want = float(accuracies(model.forward_masked(xs, 1 << m), labels))
         assert mono_modal_accuracy(model, xs, labels, m) == want
     with pytest.raises(UsageError):
         mono_modal_accuracy(model, xs, labels, 2)
@@ -65,9 +65,12 @@ def test_rejected_coalition_is_not_counted():
                             FusionSpec("late", width=4), classes=3, seed=1)
     xs = [Rng(40).normal((10, 3)), Rng(41).normal((10, 2))]
     labels = Rng(42).integers(3, 10)
+    cache = model.branch_cache(xs)
     before = dict(model.counters)
-    with pytest.raises(UsageError):
-        mono_modal_accuracy(model, xs, labels, 2)
+    for m in (-1, 2):  # 1 << -1 is a ValueError, and 1 << 2 names no modality
+        for given in (None, cache):
+            with pytest.raises(UsageError, match=rf"^modality {m} outside \[0, 2\)$"):
+                mono_modal_accuracy(model, xs, labels, m, given)
     assert model.counters == before
 
 

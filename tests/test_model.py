@@ -18,8 +18,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import branch_reference as ref
 from msam.errors import ConfigError, DimensionError, UsageError
-from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, accuracies, evaluate,
-                        mask_inputs, mean_log_probs)
+from msam.model import (EncoderSpec, FusionSpec, MultimodalModel, _coalition, accuracies,
+                        evaluate, mask_inputs, mean_log_probs)
 from msam.metrics import mono_modal_accuracy
 from msam.tensor import Rng
 
@@ -66,8 +66,7 @@ def test_identity_encoder_feeds_raw_input():
     m = MultimodalModel([EncoderSpec(3)], FusionSpec("late", width=2), classes=2, bias=False)
     xs = [np.array([[1.0, -2.0, 0.5]])]
     hidden = np.maximum(xs[0] @ m.params.view("head0.l0.w"), 0.0)
-    assert_array_equal(m.forward_masked(xs, range(m.n_modalities)),
-                       hidden @ m.params.view("head0.l1.w"))
+    assert_array_equal(m.forward_masked(xs, 0b1), hidden @ m.params.view("head0.l1.w"))
 
 
 def test_init_is_seed_deterministic():
@@ -103,7 +102,7 @@ def test_config_validation():
 def test_input_validation():
     m = late_model()
     xs, labels = make_batch(m)
-    full = range(m.n_modalities)
+    full = 0b11
     with pytest.raises(DimensionError):
         m.forward_masked([xs[0]], full)
     with pytest.raises(DimensionError):
@@ -115,7 +114,7 @@ def test_input_validation():
     with pytest.raises(DimensionError):
         m.loss_value_and_grad(xs, labels[:3])
     with pytest.raises(UsageError):
-        m.forward_masked(xs, {2})
+        m.forward_masked(xs, 0b100)
 
 
 @pytest.mark.parametrize("build", [late_model, early_model])
@@ -129,8 +128,8 @@ def test_non_float64_inputs_match_their_float64_copies(build, convert):
     xs, labels = make_batch(m)
     given = [convert(x) for x in xs]
     copies = [np.asarray(x, dtype=np.float64) for x in given]
-    assert_array_equal(m.forward_masked(given, (0, 1)), m.forward_masked(copies, (0, 1)))
-    assert_array_equal(m.forward_masked(given, {1}), m.forward_masked(copies, {1}))
+    assert_array_equal(m.forward_masked(given, 0b11), m.forward_masked(copies, 0b11))
+    assert_array_equal(m.forward_masked(given, 0b10), m.forward_masked(copies, 0b10))
     assert_array_equal(m.branch_cache(given).table, m.branch_cache(copies).table)
     loss, grad = m.loss_value_and_grad(given, labels)
     loss64, grad64 = m.loss_value_and_grad(copies, labels)
@@ -143,31 +142,32 @@ def test_non_float64_inputs_match_their_float64_copies(build, convert):
 
 def test_mask_inputs_zeroes_inactive():
     xs = [np.ones((2, 3)), np.full((2, 2), 5.0)]
-    out = mask_inputs(xs, {1})
+    out = mask_inputs(xs, 0b10)
     assert_array_equal(out[0], np.zeros((2, 3)))
     assert out[1] is xs[1]
-    with pytest.raises(UsageError):
-        mask_inputs(xs, {-1})
+    for mask in (-1, 0b100):
+        with pytest.raises(UsageError, match=f"coalition mask {mask} outside \\[0, 4\\)"):
+            mask_inputs(xs, mask)
 
 
 @pytest.mark.parametrize("build", [late_model, early_model])
 def test_full_coalition_equals_forward(build):
     m = build()
     xs, _ = make_batch(m)
-    assert_array_equal(m.forward_masked(xs, (0, 1)), ref.forward(m, xs, False)[3])
+    assert_array_equal(m.forward_masked(xs, 0b11), ref.forward(m, xs, False)[3])
 
 
 @pytest.mark.parametrize("build", [late_model, early_model])
 def test_empty_coalition_biasfree_logits_are_zero(build):
     m = build(bias=False)
     xs, _ = make_batch(m)
-    assert_array_equal(m.forward_masked(xs, ()), np.zeros((8, 3)))
+    assert_array_equal(m.forward_masked(xs, 0), np.zeros((8, 3)))
 
 
 def test_empty_coalition_rows_are_constant():
     m = early_model(bias=True)
     xs, _ = make_batch(m)
-    logits = m.forward_masked(xs, ())
+    logits = m.forward_masked(xs, 0)
     assert_array_equal(logits, np.tile(logits[:1], (8, 1)))
 
 
@@ -177,16 +177,16 @@ def test_single_branch_oracle_late_biasfree():
     h = np.maximum(xs[1] @ m.params.view("enc1.l0.w"), 0.0)
     h = np.maximum(h @ m.params.view("head1.l0.w"), 0.0)
     want = h @ m.params.view("head1.l1.w")
-    assert_array_equal(m.forward_masked(xs, {1}), want)
+    assert_array_equal(m.forward_masked(xs, 0b10), want)
 
 
 @pytest.mark.parametrize("build", [late_model, early_model])
 def test_inactive_input_is_irrelevant(build):
     m = build()
     xs, _ = make_batch(m)
-    want = m.forward_masked(xs, {0})
+    want = m.forward_masked(xs, 0b01)
     xs2 = [xs[0], xs[1] + 1000.0]
-    assert_array_equal(m.forward_masked(xs2, {0}), want)
+    assert_array_equal(m.forward_masked(xs2, 0b01), want)
 
 
 def random_model(rng, n_modalities, fusion, activation, bias):
@@ -214,9 +214,8 @@ def test_cached_coalitions_are_bitwise_equal(fusion, activation, seed):
                 xs, _ = make_batch(m, n=int(rng.integers(1, 9)), seed=int(rng.integers(1000)))
                 cache = m.branch_cache(xs)
                 for mask in range(1 << n_modalities):
-                    keep = [k for k in range(n_modalities) if mask >> k & 1]
-                    plain = m.forward_masked(xs, keep)
-                    cached = m.forward_masked(xs, keep, cache=cache)
+                    plain = m.forward_masked(xs, mask)
+                    cached = m.forward_masked(xs, mask, cache=cache)
                     assert cached.tobytes() == plain.tobytes()
                     with pytest.raises(ValueError, match="read-only"):
                         cached[...] = 0.0
@@ -230,16 +229,16 @@ def test_stale_branch_cache_is_rejected():
     m = late_model()
     xs, _ = make_batch(m)
     cache = m.branch_cache(xs)
-    assert_array_equal(m.forward_masked(xs, {0}, cache=cache), m.forward_masked(xs, {0}))
+    assert_array_equal(m.forward_masked(xs, 0b01, cache=cache), m.forward_masked(xs, 0b01))
     with pytest.raises(UsageError, match="another model"):
-        late_model().forward_masked(xs, {0}, cache=cache)
+        late_model().forward_masked(xs, 0b01, cache=cache)
     with pytest.raises(UsageError, match="other inputs"):
-        m.forward_masked([x.copy() for x in xs], {0}, cache=cache)
-    with pytest.raises(UsageError, match="coalition member"):
-        m.forward_masked(xs, {2}, cache=cache)
+        m.forward_masked([x.copy() for x in xs], 0b01, cache=cache)
+    with pytest.raises(UsageError, match="not in the branch cache"):
+        m.forward_masked(xs, 0b100, cache=cache)
     m.params.load_flat(m.params.flatten())  # same values, a new buffer
     with pytest.raises(UsageError, match="older parameters"):
-        m.forward_masked(xs, {0}, cache=cache)
+        m.forward_masked(xs, 0b01, cache=cache)
 
 
 @st.composite
@@ -266,16 +265,15 @@ def test_partial_cache_rows_are_bitwise_equal(case):
     assert cache.table.shape == (len(masks), len(xs[0]), m.classes)
     with np.errstate(all="ignore"):
         for mask in range(1 << m.n_modalities):
-            keep = [k for k in range(m.n_modalities) if mask >> k & 1]
             before = dict(m.counters)
             if mask not in masks:
                 with pytest.raises(UsageError, match="not in the branch cache"):
-                    m.forward_masked(xs, keep, cache=cache)
+                    m.forward_masked(xs, mask, cache=cache)
                 assert m.counters == before
                 continue
-            cached = m.forward_masked(xs, keep, cache=cache)
+            cached = m.forward_masked(xs, mask, cache=cache)
             assert m.counters["masked_forward"] == before["masked_forward"] + 1
-            assert cached.tobytes() == m.forward_masked(xs, keep).tobytes()
+            assert cached.tobytes() == m.forward_masked(xs, mask).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 cached[...] = 0.0
 
@@ -301,9 +299,10 @@ KEEP_FORMS = {
 @st.composite
 def coalition_reads(draw):
     """A random model with 1-8 modalities (as `random_model`), a batch of 1-40
-    rows, a partial cache's mask list, and keeps: lists, tuples, sets and
-    generators of unsorted members with repeats, some numpy ints and some
-    outside [0, M), or ranges."""
+    rows, a partial cache's mask list, bitmasks from -2 to 2**M + 1, some of
+    them numpy ints, and keeps: lists, tuples, sets and generators of
+    unsorted members with repeats, some numpy ints and some outside [0, M),
+    or ranges."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_modalities = draw(st.integers(1, 8))
     m = random_model(rng, n_modalities, draw(st.sampled_from(["early", "late"])),
@@ -313,8 +312,12 @@ def coalition_reads(draw):
     xs, labels = make_batch(m, n=draw(st.integers(1, 40)), seed=int(rng.integers(1000)))
     masks = draw(st.lists(st.integers(0, (1 << n_modalities) - 1), min_size=1, max_size=12,
                           unique=True))
-    numpy_int = st.tuples(st.sampled_from([np.int64, np.int32, np.uint8, np.intp]),
-                          st.integers(0, n_modalities - 1)).map(lambda p: p[0](p[1]))
+    numpy_types = st.sampled_from([np.int64, np.int32, np.uint8, np.intp])
+    numpy_int = st.tuples(numpy_types, st.integers(0, n_modalities - 1)).map(lambda p: p[0](p[1]))
+    numpy_mask = st.tuples(numpy_types, st.integers(0, (1 << n_modalities) - 1)).map(
+        lambda p: p[0](p[1]))
+    reads = draw(st.lists(st.integers(-2, (1 << n_modalities) + 1) | numpy_mask,
+                          min_size=1, max_size=6))
     member = st.integers(-2, n_modalities + 1) | numpy_int
     keeps = []
     for _ in range(draw(st.integers(1, 6))):
@@ -325,47 +328,70 @@ def coalition_reads(draw):
         else:
             members = draw(st.lists(member, max_size=10))
         keeps.append((form, members))
-    return m, xs, labels, masks, keeps
+    return m, xs, labels, masks, reads, keeps
 
 
 @settings(max_examples=150, deadline=None)
 @given(coalition_reads())
 def test_coalition_reads_by_bitmask(case):
-    m, xs, labels, masks, keeps = case
-    n_modalities = m.n_modalities
+    m, xs, labels, masks, reads, keeps = case
+    reads, n_modalities = list(reads), m.n_modalities
+    n_masks = 1 << n_modalities
+    # a training term's members fold into the bitmask a read takes
+    for form, members in keeps:
+        bad = [k for k in members if not 0 <= k < n_modalities]
+        if bad:
+            with pytest.raises(UsageError) as err:
+                _coalition(KEEP_FORMS[form](members), n_modalities)
+            assert str(err.value) == f"coalition member {min(bad)} outside [0, {n_modalities})"
+        else:
+            mask = _coalition(KEEP_FORMS[form](members), n_modalities)
+            assert mask == sum(1 << k for k in {int(k) for k in members})
+            reads.append(mask)
     full, partial = m.branch_cache(xs), m.branch_cache(xs, masks)
     with np.errstate(all="ignore"):
-        for form, members in keeps:
-            def keep():  # a fresh iterable per call: a generator reads once
-                return KEEP_FORMS[form](members)
-            bad = [k for k in members if not 0 <= k < n_modalities]
-            mask = None if bad else sum(1 << k for k in {int(k) for k in members})
+        for mask in reads:
             for cache in (None, full, partial):
                 before = dict(m.counters)
-                if bad:
-                    message = f"coalition member {min(bad)} outside [0, {n_modalities})"
+                if cache is None and not 0 <= mask < n_masks:
+                    message = f"coalition mask {mask} outside [0, {n_masks})"
+                elif cache is not None and not (0 <= mask < n_masks
+                                                and (cache is full or mask in masks)):
+                    message = f"coalition mask {mask} is not in the branch cache"
+                else:
+                    message = None
+                if message is not None:
                     with pytest.raises(UsageError) as err:
-                        m.forward_masked(xs, keep(), cache=cache)
+                        m.forward_masked(xs, mask, cache=cache)
                     assert str(err.value) == message
                     assert m.counters == before
                     continue
-                if cache is partial and mask not in masks:
-                    kept = [k for k in range(n_modalities) if mask >> k & 1]
-                    with pytest.raises(UsageError) as err:
-                        m.forward_masked(xs, keep(), cache=cache)
-                    assert str(err.value) == f"coalition {kept} is not in the branch cache"
-                    assert m.counters == before
-                    continue
-                got = m.forward_masked(xs, keep(), cache=cache)
+                got = m.forward_masked(xs, mask, cache=cache)
                 assert m.counters == {**before, "masked_forward": before["masked_forward"] + 1}
-                want = m.forward_masked(xs, [k for k in range(n_modalities) if mask >> k & 1])
+                want = ref.forward_masked(m, xs, [k for k in range(n_modalities) if mask >> k & 1])
                 assert got.tobytes() == want.tobytes()
         for k in range(n_modalities):
             for cache in (None, full) + ((partial,) if 1 << k in masks else ()):
-                want = float(accuracies(m.forward_masked(xs, (k,), cache), labels))
+                want = float(accuracies(m.forward_masked(xs, 1 << k, cache), labels))
                 before = dict(m.counters)
                 assert mono_modal_accuracy(m, xs, labels, k, cache) == want
                 assert m.counters["masked_forward"] == before["masked_forward"] + 1
+
+
+@pytest.mark.parametrize("mask", [-1, 0b100])
+def test_a_mask_outside_the_model_is_rejected_and_not_counted(mask):
+    # the full coalition's row is the last, which a mask of -1 must not read
+    m = late_model()
+    xs, _ = make_batch(m)
+    full, partial = m.branch_cache(xs), m.branch_cache(xs, [0b01, 0b11])
+    for cache, message in ((None, f"coalition mask {mask} outside [0, 4)"),
+                           (full, f"coalition mask {mask} is not in the branch cache"),
+                           (partial, f"coalition mask {mask} is not in the branch cache")):
+        before = dict(m.counters)
+        with pytest.raises(UsageError) as err:
+            m.forward_masked(xs, mask, cache=cache)
+        assert str(err.value) == message
+        assert m.counters == before
 
 
 def test_masked_term_grads_vanish_off_coalition():
@@ -383,13 +409,13 @@ def test_masked_term_grads_vanish_off_coalition():
 def test_maxout_pieces_commute_in_value():
     m = early_model()
     xs, _ = make_batch(m)
-    before = m.forward_masked(xs, (0, 1))
+    before = m.forward_masked(xs, 0b11)
     flat = m.params.flatten()
     for name in ("w", "b"):
         s0, s1 = m.params.slice_of(f"fusion.p0.{name}"), m.params.slice_of(f"fusion.p1.{name}")
         flat[s0], flat[s1] = flat[s1].copy(), flat[s0].copy()
     m.params.load_flat(flat)
-    assert_array_equal(m.forward_masked(xs, (0, 1)), before)
+    assert_array_equal(m.forward_masked(xs, 0b11), before)
 
 
 # ------------------------------------------------------------------ loss paths
@@ -446,8 +472,8 @@ def test_terms_require_nonempty_on_tape():
 def test_pass_counters():
     m = late_model()
     xs, labels = make_batch(m)
-    m.forward_masked(xs, (0, 1))
-    m.forward_masked(xs, {0})
+    m.forward_masked(xs, 0b11)
+    m.forward_masked(xs, 0b01)
     m.loss_value_and_grad(xs, labels)
     m.terms_value_and_grad(xs, labels, [])
     m.terms_value_and_grad(xs, labels, [((0,), None)])

@@ -280,8 +280,7 @@ def test_attribute_batch_counts_calls_and_matches_uncached_coalitions(fusion, n_
     for rows in (1, 5, 16, 130):
         xs, labels = model_batch(m, n=rows, seed=50 + rows)
         # the reference: one uncached masked forward, scored alone, per coalition
-        logits = [m.forward_masked(xs, [k for k in range(n_modalities) if mask >> k & 1])
-                  for mask in range(full)]
+        logits = [m.forward_masked(xs, mask) for mask in range(full)]
         scores = [(float(-mean_log_probs(z, labels)), float(accuracies(z, labels)))
                   for z in logits]
         full_loss, _ = evaluate(m, xs, labels)
@@ -307,17 +306,17 @@ def test_cached_reads_check_inputs_by_identity(fusion):
                         FusionSpec(fusion, width=4, pieces=2), classes=3, seed=4)
     xs, _ = model_batch(m)
     cache = m.branch_cache(xs)
-    want = m.forward_masked(xs, [0, 2]).tobytes()
+    want = m.forward_masked(xs, 0b101).tobytes()
     # the cache's own tuple, a new list of the same arrays, and the caller's list
     for inputs in (cache.inputs, list(cache.inputs), xs):
         before = m.counters["masked_forward"]
-        assert m.forward_masked(inputs, [0, 2], cache).tobytes() == want
+        assert m.forward_masked(inputs, 0b101, cache).tobytes() == want
         assert m.counters["masked_forward"] - before == 1
     # equal values in another array, or too few arrays, are other inputs
     before = m.counters["masked_forward"]
     for inputs in ([xs[0], xs[1].copy(), xs[2]], cache.inputs[:2]):
         with pytest.raises(UsageError, match="branch cache was built from other inputs"):
-            m.forward_masked(inputs, [0, 2], cache)
+            m.forward_masked(inputs, 0b101, cache)
     assert m.counters["masked_forward"] == before
 
 
@@ -330,9 +329,9 @@ def test_attribute_batch_reads_by_the_cache_inputs(n_modalities, monkeypatch):
     reads = []
     original = m.forward_masked
 
-    def spy(inputs, keep, cache=None):
+    def spy(inputs, mask, cache=None):
         reads.append(inputs is cache.inputs)
-        return original(inputs, keep, cache)
+        return original(inputs, mask, cache)
 
     monkeypatch.setattr(m, "forward_masked", spy)
     for target, seed, calls in (("loss", full_loss, (1 << n_modalities) - 1),
