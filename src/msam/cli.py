@@ -31,7 +31,6 @@ from .harness import (
     preset,
     read_json,
     resolve_config,
-    resolve_data_spec,
     run,
     write_csv,
     write_json,
@@ -92,8 +91,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--calibrate-at", type=int, help="1-based calibration step")
     c.set_defaults(func=_cmd_convergence)
 
-    e = sub.add_parser("export-data", help="generate a dataset and write the binary file")
-    e.add_argument("--spec", required=True, help="JSON: the config's data section plus seed")
+    e = sub.add_parser("export-data", help="generate a config's dataset and write the binary file")
+    e.add_argument("--config", required=True, help="path to a JSON experiment config")
     e.add_argument("--out", required=True, help="output .bin path")
     e.set_defaults(func=_cmd_export)
 
@@ -279,7 +278,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    spec = resolve_data_spec(read_json(args.spec, "spec"))
+    spec = resolve_config(read_json(args.config)).data
     _check_writable(Path(args.out))
     splits = generate(spec)
     save_dataset(args.out, spec, splits)

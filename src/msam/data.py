@@ -8,7 +8,7 @@ modality is. All draws come from the seeded stream in a documented order
 datasets reproducible and splits disjoint by construction.
 
 Datasets round-trip through a flat binary file (see `save_dataset` for the
-byte layout).
+byte layout), and `SyntheticSpec` admits only the shapes that file can hold.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ class SyntheticSpec:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if not self.dims or min(self.dims) < 1:
             raise ConfigError(f"dims must be a non-empty list of dims >= 1, got {list(self.dims)}")
+        u32 = "must fit in a u32 field of the dataset file (below 2**32)"  # see save_dataset
+        if self.classes >= 1 << 32:
+            raise ConfigError(f"classes {u32}, got {self.classes}")
+        if max(self.dims) >= 1 << 32:
+            raise ConfigError(f"dims {u32}, got {list(self.dims)}")
         if len(self.snr) != len(self.dims):
             raise ConfigError(f"snr has {len(self.snr)} entries for {len(self.dims)} modalities")
         if not all(0.0 <= s < np.inf for s in self.snr):

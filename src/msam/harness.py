@@ -1,8 +1,8 @@
 """Config-driven experiment harness.
 
 Configs are JSON trees with a fixed schema, `_SCHEMA`: one row per field
-with its dotted path, type and default. One walker reads it for the config
-and for the `export-data` spec (the `data` section plus `seed`). Unknown keys
+with its dotted path, type and default. Every command that reads a config,
+`export-data` included, reads it through `resolve_config`. Unknown keys
 anywhere in the tree are errors so hyperparameter typos cannot pass silently,
 and types are exact: a bool is not an int, an int is accepted for a float and
 stored as one, and no string becomes a number. Value rules live in the spec
@@ -156,8 +156,6 @@ def _seed(x: int) -> str | None:
     return None if x in SEEDS else "must be in [0, 2**64)"
 
 
-_REQUIRED = object()  # the default of a key that must be given
-
 # One row per config field: (dotted path, type, default, check). The sections
 # are the paths' prefixes. Only the fields that no spec dataclass holds have a
 # check; the dataclasses check the rest, and `resolve_config` names the path.
@@ -196,15 +194,6 @@ _SCHEMA = (
     ("optimizer.shapley_variant", _STR, "standard", None),
 )
 
-# The `export-data` spec: the data section at the top level, every key
-# required, plus the seed. The file holds classes and dims in u32 fields.
-_U32 = "must fit in a u32 field of the dataset file (below 2**32)"
-_FILE_CHECKS = {"data.classes": lambda x: None if x < 1 << 32 else _U32,
-                "data.dims": lambda xs: None if all(x < 1 << 32 for x in xs) else _U32}
-_DATA_SPEC = tuple((path.removeprefix("data."), kind, _REQUIRED, _FILE_CHECKS.get(path, check))
-                   for path, kind, _default, check in _SCHEMA if path.startswith("data.")
-                   ) + tuple(row for row in _SCHEMA if row[0] == "seed")
-
 # How `canonical()` reads the paths that are not attribute paths of an
 # ExperimentConfig; the period is stored in steps.
 _READERS = {
@@ -231,41 +220,33 @@ def _section_keys(rows) -> dict[str, set[str]]:
 
 
 _SCHEMA_KEYS = _section_keys(_SCHEMA)
-_DATA_SPEC_KEYS = _section_keys(_DATA_SPEC)
 
 
-def _checked(raw: Any, rows, keys: dict[str, set[str]], root: str) -> dict[str, dict[str, Any]]:
-    """{section path: {key: checked value}} of a raw tree, defaults filled;
-    every section must be an object holding only its `keys`."""
+def _checked(raw: Any) -> dict[str, dict[str, Any]]:
+    """{section path: {key: checked value}} of a raw config tree, defaults
+    filled; every section must be an object holding only its schema keys."""
     sections: dict[str, dict] = {}
 
     def section(path: str) -> dict:
         if path not in sections:
             parent, _, key = path.rpartition(".")
             got = section(parent).get(key, {}) if path else raw
-            where = repr(path) if path else root
+            where = repr(path) if path else "top-level config"
             if type(got) is not dict:
                 raise ConfigError(f"{where} must be a JSON object, got {got!r}")
-            unknown = set(got) - keys[path]
+            unknown = set(got) - _SCHEMA_KEYS[path]
             if unknown:
                 raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
             sections[path] = got
         return sections[path]
 
     values: dict[str, dict[str, Any]] = {}
-    missing = []
-    for path, kind, default, check in rows:
+    for path, kind, default, check in _SCHEMA:
         parent, _, key = path.rpartition(".")
-        got = section(parent).get(key, default)
-        if got is _REQUIRED:
-            missing.append(path)
-            continue
-        value = kind(got, path)
+        value = kind(section(parent).get(key, default), path)
         values.setdefault(parent, {})[key] = value
         if check and (problem := check(value)):
             raise ConfigError(f"{path} {problem}, got {value!r}")
-    if missing:
-        raise ConfigError(f"{root} missing keys: {missing}")
     return values
 
 
@@ -292,7 +273,7 @@ def resolve_config(raw: Any) -> ExperimentConfig:
 
     Raises ConfigError on unknown keys, bad values, or inconsistent shapes.
     """
-    values = _checked(raw, _SCHEMA, _SCHEMA_KEYS, "top-level config")
+    values = _checked(raw)
     top = values[""]
     data = _build(SyntheticSpec, "data.", seed=top["seed"], **values["data"])
 
@@ -326,31 +307,25 @@ def resolve_config(raw: Any) -> ExperimentConfig:
                             bias=model["bias"], optimizer=optimizer)
 
 
-def resolve_data_spec(raw: Any) -> SyntheticSpec:
-    """The `export-data` spec: the config's `data` section plus `seed`, every
-    data key required."""
-    return SyntheticSpec(**_checked(raw, _DATA_SPEC, _DATA_SPEC_KEYS, "data spec")[""])
-
-
-def read_json(path: str | Path, what: str = "config") -> Any:
+def read_json(path: str | Path) -> Any:
     """Parse a JSON file; a missing file, invalid JSON or an object that
     repeats a key is a ConfigError naming the path."""
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
 
     def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ConfigError(f"{what} file {path} repeats the key {key!r}")
+                raise ConfigError(f"config file {path} repeats the key {key!r}")
             obj[key] = value
         return obj
 
     try:
         return json.loads(path.read_text(), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, an int too long, deep nesting
-        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from None
+        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
 
 
 @dataclass

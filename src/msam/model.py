@@ -250,9 +250,18 @@ def _coalition(keep: Iterable[int], n_modalities: int) -> int:
     return mask
 
 
+def _mask(mask) -> int:
+    """A coalition bitmask as an int; what `operator.index` refuses is a UsageError."""
+    try:
+        return operator.index(mask)
+    except TypeError:
+        raise UsageError(f"coalition mask must be an integer, got {mask!r}") from None
+
+
 def mask_inputs(xs: Sequence[Array], mask: int) -> list[Array]:
     """Zero the inputs of every modality not in the coalition `mask` (bit m
     set = modality m active); a mask outside [0, 2**M) is a UsageError."""
+    mask = _mask(mask)
     if not 0 <= mask < 1 << len(xs):
         raise UsageError(f"coalition mask {mask} outside [0, {1 << len(xs)})")
     return [x if mask >> m & 1 else np.zeros_like(x) for m, x in enumerate(xs)]
@@ -549,11 +558,12 @@ class MultimodalModel:
 
         A list of distinct bitmasks in [0, 2**M) builds a partial table
         instead, one row per mask in list order, each `_fuse` on that
-        coalition's cached outputs; an empty list, a mask out of range or a
-        repeated mask is a UsageError.
+        coalition's cached outputs; an empty list, a mask that is not an
+        integer or is out of range, or a repeated mask is a UsageError.
         """
         n_masks = 1 << self.n_modalities
         if masks is not None:
+            masks = [_mask(k) for k in masks]
             if not masks:
                 raise UsageError("coalition mask list is empty")
             bad = [k for k in masks if not 0 <= k < n_masks]
@@ -589,10 +599,10 @@ class MultimodalModel:
         Unlike the training passes this never raises on overflow: evaluation
         of a diverged model reports inf/nan values as they are. With a
         `cache` from `branch_cache(xs)` nothing runs: the logits are the
-        coalition's read-only table row. A mask outside [0, 2**M), a cache
-        built for another model, other inputs or older parameters, or a
-        partial cache without this coalition, is a UsageError. Only a call
-        that passes every check is counted.
+        coalition's read-only table row. A mask other than an integer in
+        [0, 2**M), a cache built for another model, other inputs or older
+        parameters, or a partial cache without this coalition, is a
+        UsageError. Only a call that passes every check is counted.
         """
         if cache is None:
             masked = mask_inputs(self._check_inputs(xs), mask)
@@ -607,6 +617,7 @@ class MultimodalModel:
         if xs is not inputs and (len(xs) != len(inputs)
                                  or not all(map(operator.is_, xs, inputs))):
             raise UsageError("branch cache was built from other inputs")
+        mask = mask if type(mask) is int else _mask(mask)  # attribution reads ints
         # a negative mask must not index from the end, where the full coalition is
         row = mask if rows is None else rows.get(mask, -1)
         if not 0 <= row < len(table):

@@ -4,6 +4,7 @@ Every command is invoked through `main(argv)` in-process; exit codes follow
 the contract 0 = success, 1 = config/flag/path problems, 2 = numeric failure.
 """
 
+import hashlib
 import json
 import shutil
 import warnings
@@ -14,6 +15,9 @@ import pytest
 from msam import cli, harness
 from msam.cli import main
 from msam.data import load_dataset
+
+# the data section of the small configs that `export-data` tests write
+DATA = {"classes": 3, "dims": [4, 3], "snr": [2.0, 0.5], "n_train": 20, "n_val": 10, "n_test": 10}
 
 
 def write_config(tmp_path, name="cfg.json", **kw):
@@ -93,10 +97,8 @@ def test_out_of_range_seeds_exit_1(tmp_path, capsys, checkpoint, seed):
     assert main(["landscape", "--checkpoint", str(checkpoint), "--seed", seed, "--tag", "s"]) == 1
     assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
     assert not (checkpoint / "landscape_s.csv").exists()
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0], "n_train": 4,
-                                "n_val": 2, "n_test": 2, "seed": int(seed)}))
-    assert main(["export-data", "--spec", str(spec), "--out", str(tmp_path / "x.bin")]) == 1
+    cfg, _ = write_config(tmp_path, seed=int(seed))
+    assert main(["export-data", "--config", str(cfg), "--out", str(tmp_path / "x.bin")]) == 1
     assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
 
 
@@ -123,28 +125,31 @@ def test_train_sizes_no_array_can_hold_exit_1(tmp_path, capsys, n_train):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_train_a_shape_the_dataset_file_cannot_hold_exits_1(tmp_path, capsys, monkeypatch):
+    # refused by the config, before any draw, like every other bad data value
+    monkeypatch.setattr(harness, "generate", _never_called)
+    path, _ = write_config(tmp_path, epochs=1, data={**DATA, "classes": 2**32 + 1})
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: data.classes must fit in a u32 field of the "
+                                       "dataset file (below 2**32), got 4294967297\n")
+
+
 @pytest.mark.parametrize("command", ["train", "export-data"])
 def test_a_failed_allocation_is_one_error_line(tmp_path, capsys, monkeypatch, command):
-    # data.classes 2**32 + 1 asks numpy for 192 GiB of prototypes; numpy's
-    # MemoryError is raised here in place of that request
+    # data.classes 2**31 with dims [6, 6] asks numpy for 96 GiB of prototypes;
+    # numpy's MemoryError is raised here in place of that request
     def refuse(spec):
-        raise MemoryError("Unable to allocate 192. GiB for an array with shape (25769803782,) "
+        raise MemoryError("Unable to allocate 96.0 GiB for an array with shape (12884901888,) "
                           "and data type uint64")
 
     monkeypatch.setattr(harness, "generate", refuse)
     monkeypatch.setattr(cli, "generate", refuse)
-    out = tmp_path / "x.bin"
-    if command == "train":
-        path, _ = write_config(tmp_path, epochs=1, data={"classes": 2**32 + 1})
-        argv = ["train", "--config", str(path)]
-    else:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0], "n_train": 4,
-                                    "n_val": 2, "n_test": 2, "seed": 0}))
-        argv = ["export-data", "--spec", str(path), "--out", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 192. GiB for an "
-                                       "array with shape (25769803782,) and data type uint64\n")
+    path, _ = write_config(tmp_path, epochs=1, data={"classes": 2**31})
+    argv = {"train": ["train", "--config", str(path)],
+            "export-data": ["export-data", "--config", str(path), "--out", str(tmp_path / "x.bin")]}
+    assert main(argv[command]) == 1
+    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 96.0 GiB for an "
+                                       "array with shape (12884901888,) and data type uint64\n")
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -392,9 +397,6 @@ def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatc
     for module, name in (("msam.harness", "train_step"), ("msam.cli", "landscape_grid"),
                          ("msam.cli", "attribute_batch"), ("msam.cli", "generate")):
         monkeypatch.setattr(f"{module}.{name}", _never_called)
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0],
-                                "n_train": 4, "n_val": 2, "n_test": 2, "seed": 0}))
     cfg, _ = write_config(tmp_path)
     (tmp_path / "file").write_text("")
     # a copy of the checkpoint whose output paths are existing directories
@@ -403,7 +405,7 @@ def test_unwritable_output_path_exits_1(tmp_path, checkpoint, capsys, monkeypatc
     for name in ("audit.csv", "landscape_c.csv", "landscape_j.json"):
         (run / name).mkdir()
     argv = {
-        "export-data": ["--spec", str(spec), "--out", str(tmp_path / "missing" / "x.bin")],
+        "export-data": ["--config", str(cfg), "--out", str(tmp_path / "missing" / "x.bin")],
         "shapley-audit": ["--checkpoint", str(checkpoint),
                           "--out", str(tmp_path / "missing" / "a.csv")],
         "landscape": ["--checkpoint", str(checkpoint), "--res", "3", "--tag", "a/b"],
@@ -449,8 +451,8 @@ EMPTY_FLAGS = {
     "landscape --tag": ["landscape", "--checkpoint", ".", "--res", "3", "--tag", ""],
     "shapley-audit --checkpoint": ["shapley-audit", "--checkpoint", ""],
     "convergence --run": ["convergence", "--run", ""],
-    "export-data --spec": ["export-data", "--spec", "", "--out", "data.bin"],
-    "export-data --out": ["export-data", "--spec", "spec.json", "--out", ""],
+    "export-data --config": ["export-data", "--config", "", "--out", "data.bin"],
+    "export-data --out": ["export-data", "--config", "config.json", "--out", ""],
 }
 
 
@@ -460,9 +462,6 @@ def test_an_empty_flag_value_exits_1_and_writes_nothing(tmp_path, checkpoint, ca
     # run from a copy of a run directory, which an empty path would name
     run = tmp_path / "run"
     shutil.copytree(checkpoint, run)
-    (run / "spec.json").write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0],
-                                               "n_train": 4, "n_val": 2, "n_test": 2,
-                                               "seed": 0}))
     monkeypatch.chdir(run)
 
     def files():
@@ -489,37 +488,64 @@ def test_unwritable_output_error_names_the_requested_path(tmp_path, checkpoint, 
 
 
 def test_export_data_round_trips(tmp_path, capsys):
-    spec = {"classes": 3, "dims": [4, 3], "snr": [2.0, 0.5],
-            "n_train": 20, "n_val": 10, "n_test": 10, "seed": 7}
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, "data": DATA}))
     out = tmp_path / "data.bin"
-    assert main(["export-data", "--spec", str(spec_path), "--out", str(out)]) == 0
-    assert "train=20" in capsys.readouterr().out
+    assert main(["export-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"export-data: wrote {out} (train=20, val=10, test=10)\n"
     (classes, dims), splits = load_dataset(out)
     assert classes == 3 and dims == (4, 3)
     assert [ds.n for ds in splits] == [20, 10, 10]
+    # the bytes that the same seed and data section have always exported
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9967fad8cc872fa02ba71022053902d0cb396fb7f03d2303ccee3b2cee69a625")
+
+
+def test_export_data_writes_the_data_a_run_trained_on(tmp_path):
+    _, raw = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "run"))
+    record = harness.run(harness.resolve_config(raw))
+    out = tmp_path / "data.bin"
+    assert main(["export-data", "--config", str(tmp_path / "run" / "config.json"),
+                 "--out", str(out)]) == 0
+    _, splits = load_dataset(out)
+    for got, want in zip(splits, record.datasets, strict=True):
+        assert got.split == want.split
+        assert [x.tobytes() for x in got.modalities] == [x.tobytes() for x in want.modalities]
+        assert got.labels.dtype == want.labels.dtype
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_export_data_of_nine_modalities_needs_a_kind_without_attribution(tmp_path, capsys):
+    # the whole config resolves, and the default kind msam attributes at most 8
+    data = {**DATA, "dims": [2] * 9, "snr": [1.0] * 9}
+    cfg, _ = write_config(tmp_path, data=data, optimizer={})
+    out = tmp_path / "x.bin"
+    assert main(["export-data", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: optimizer.kind msam attributes at most 8 modalities, data has 9\n")
+    assert not out.exists()
+    cfg, _ = write_config(tmp_path, data=data, optimizer={"kind": "sgd"})
+    assert main(["export-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_dataset(out)[0] == (3, (2,) * 9)
 
 
 def test_export_data_validation(tmp_path, capsys):
-    assert main(["export-data", "--spec", str(tmp_path / "no.json"),
-                 "--out", str(tmp_path / "x.bin")]) == 1
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"classes": 3}))
-    assert main(["export-data", "--spec", str(bad), "--out", str(tmp_path / "x.bin")]) == 1
-    assert "missing keys" in capsys.readouterr().err
+    missing = tmp_path / "no.json"
+    assert main(["export-data", "--config", str(missing), "--out", str(tmp_path / "x.bin")]) == 1
+    assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
     extra = tmp_path / "extra.json"
-    extra.write_text(json.dumps({"classes": 3, "dims": [2], "snr": [1.0],
-                                 "n_train": 4, "n_val": 2, "n_test": 2, "fraction": 0.5}))
-    assert main(["export-data", "--spec", str(extra), "--out", str(tmp_path / "x.bin")]) == 1
+    extra.write_text(json.dumps({"data": {**DATA, "fraction": 0.5}}))
+    assert main(["export-data", "--config", str(extra), "--out", str(tmp_path / "x.bin")]) == 1
+    assert capsys.readouterr().err == "error: unknown keys in 'data': ['fraction']\n"
+    assert not (tmp_path / "x.bin").exists()
 
 
 def test_export_data_rejects_a_repeated_key(tmp_path, capsys):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text('{"classes": 3, "dims": [4, 3], "snr": [2.0, 0.5], "n_train": 20, '
-                         '"n_val": 10, "n_test": 10, "seed": 7, "classes": 4}')
-    assert main(["export-data", "--spec", str(spec_path), "--out", str(tmp_path / "x.bin")]) == 1
-    assert capsys.readouterr().err == f"error: spec file {spec_path} repeats the key 'classes'\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 7, "data": {"classes": 3, "dims": [4, 3], "snr": [2.0, 0.5], '
+                   '"n_train": 20, "n_val": 10, "n_test": 10, "classes": 4}}')
+    assert main(["export-data", "--config", str(cfg), "--out", str(tmp_path / "x.bin")]) == 1
+    assert capsys.readouterr().err == f"error: config file {cfg} repeats the key 'classes'\n"
     assert not (tmp_path / "x.bin").exists()
 
 
@@ -527,7 +553,7 @@ def test_export_data_rejects_a_repeated_key(tmp_path, capsys):
     ({"classes": "abc"}, "classes must be an integer, got 'abc'"),
     ({"n_train": 4.5}, "n_train must be an integer, got 4.5"),
     ({"seed": "7"}, "seed must be an integer, got '7'"),
-    ([1, 2], "data spec must be a JSON object, got [1, 2]"),
+    pytest.param([1, 2], "top-level config must be a JSON object, got [1, 2]", id="not an object"),
     # the file's header holds these in u32 fields
     ({"classes": 2**32 + 1},
      "classes must fit in a u32 field of the dataset file (below 2**32), got 4294967297"),
@@ -535,11 +561,16 @@ def test_export_data_rejects_a_repeated_key(tmp_path, capsys):
      "dims must fit in a u32 field of the dataset file (below 2**32), got [4, 4294967296]"),
 ])
 def test_export_data_type_errors_exit_1(tmp_path, capsys, spec, message):
+    # `spec` sets the seed or one key of the data section, whose error names
+    # it by its dotted path; a list stands for the whole config
     if isinstance(spec, dict):
-        spec = {"classes": 3, "dims": [4, 3], "snr": [2.0, 0.5],
-                "n_train": 20, "n_val": 10, "n_test": 10, **spec}
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    assert main(["export-data", "--spec", str(spec_path), "--out", str(tmp_path / "x.bin")]) == 1
+        (key, value), = spec.items()
+        if key == "seed":
+            spec = {"seed": value, "data": DATA}
+        else:
+            spec, message = {"seed": 7, "data": {**DATA, key: value}}, f"data.{message}"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    assert main(["export-data", "--config", str(cfg), "--out", str(tmp_path / "x.bin")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.bin").exists()

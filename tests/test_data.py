@@ -109,6 +109,12 @@ def test_spec_validation():
         small_spec(snr=(float("inf"), 1.0))
     with pytest.raises(ConfigError, match="^n_val "):
         small_spec(n_val=0)
+    # the dataset file holds classes and dims in u32 fields
+    assert small_spec(classes=2**32 - 1, dims=(4, 2**32 - 1)).classes == 2**32 - 1
+    with pytest.raises(ConfigError, match="^classes must fit in a u32 field"):
+        small_spec(classes=2**32)
+    with pytest.raises(ConfigError, match=r"^dims must fit in a u32 .*, got \[4, 4294967296\]$"):
+        small_spec(dims=(4, 2**32))
 
 
 def test_dataset_validation():

@@ -161,7 +161,7 @@ def run_cli(argv, root):
     """`cli.main(argv)` with its output captured, checked against the property:
     it exits 0, 1 or 2 without a traceback or a numpy RuntimeWarning (raised
     here as an error), and a non-zero exit leaves every file under `root` as
-    it was."""
+    it was. Returns what it wrote to stderr."""
     before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
@@ -176,6 +176,7 @@ def run_cli(argv, root):
     if code:
         after = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
         assert after == before, argv
+    return err.getvalue()
 
 
 @CLI_FUZZ
@@ -240,7 +241,7 @@ def test_convergence_flags_and_cells_exit_cleanly(tiny_run, norms, calibrate_at)
     run_cli(argv, tiny_run)
 
 
-# Values for a config or spec field: any JSON type, integers kept small
+# Values for a config field: any JSON type, integers kept small
 SMALL_LEAVES = (st.none() | st.booleans() | st.integers(-3, 12)
                 | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(NAMES)
                 | st.text(max_size=4))
@@ -273,29 +274,20 @@ def test_train_flags_and_config_values_exit_cleanly(tiny_run, data, seed, out):
     run_cli(argv, tiny_run)
 
 
-SPEC = {"classes": 3, "dims": [2, 1], "snr": [1.0, 0.5], "n_train": 4, "n_val": 2, "n_test": 2,
-        "seed": 0}
-SPEC_VALUES = {"classes": st.integers(-2, 6), "dims": st.lists(st.integers(-2, 4), max_size=3),
-               "snr": st.lists(FLOATS.map(float), max_size=3), "n_train": st.integers(-2, 6),
-               "n_val": st.integers(-2, 6), "n_test": st.integers(-2, 6),
-               "seed": st.sampled_from([-1, 2**64 - 1, 2**64]) | st.integers()}
-
-
 @CLI_FUZZ
-@given(data=st.data(), cut=st.none() | st.integers(0, 80),
+@given(data=st.data(),
        out=TAGS.map(lambda tag: f"export/{tag}") | st.sampled_from(["export", "none/x.bin"]))
-def test_export_data_spec_values_and_paths_exit_cleanly(tiny_run, data, cut, out):
-    # a few fields drawn around their ranges, a key dropped or added, and
-    # sometimes the JSON text cut short
-    spec = dict(SPEC)
-    for key in data.draw(st.lists(st.sampled_from(sorted(SPEC)), max_size=3)):
-        spec[key] = data.draw(SPEC_VALUES[key] | SMALL_LEAVES)
-    for key in data.draw(st.lists(st.sampled_from(sorted(SPEC) + ["extra"]), max_size=1)):
-        spec.pop(key) if key in spec else spec.update(extra=1)
+def test_export_data_spec_values_and_paths_exit_cleanly(tiny_run, data, out):
+    # the tiny run's config with up to 3 fields drawn around their ranges, and
+    # sometimes its JSON text cut short
+    text = json.dumps(drawn_config(data.draw, json.loads((tiny_run / "config.json").read_text())))
+    if data.draw(st.integers(0, 9)) == 0:
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
     (tiny_run / "export").mkdir(exist_ok=True)
-    path = tiny_run / "export" / "spec.json"
-    path.write_text(json.dumps(spec)[:cut])
-    run_cli(["export-data", f"--spec={path}", f"--out={tiny_run / out}"], tiny_run)
+    path = tiny_run / "export" / "config.json"
+    path.write_text(text)
+    err = run_cli(["export-data", f"--config={path}", f"--out={tiny_run / out}"], tiny_run)
+    assert not err.startswith("usage:"), err  # argparse takes both flags: the command runs
 
 
 @CLI_FUZZ

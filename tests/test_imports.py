@@ -13,7 +13,9 @@ third checks the same of every private method of a class and every
 fourth checks that every public method and annotated class field of the
 package is read in the package or the benchmark, so no return form or result
 field is kept that only tests read. A fifth checks the same of every public
-module-level function, class and constant.
+module-level function, class and constant. A sixth checks that every
+parameter with a default is passed by some call in the package or the
+benchmark, so no option is kept that only tests set.
 """
 
 import ast
@@ -219,3 +221,98 @@ def test_every_public_member_is_read():
     read = set().union(*map(members_read, package + bench))
     unread = sorted(m for m in members if m.partition(".")[2] not in read)
     assert unread == sorted(READ_ONLY_BY_TESTS)
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, set[str]]]:
+    """(function, parameter, position, named parameters) for each parameter
+    with a default of every function a module defines, nested ones included:
+    positional ones with their position in a call, keyword-only ones with
+    None, and `**kwargs` as `**name`. A method's `self` takes no position,
+    and `__init__` is named by its class, which is what a call names."""
+    found = []
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, cls)
+                continue
+            args = child.args
+            method = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+            positional = (args.posonlyargs + args.args)[1 if method else 0:]
+            name = cls.name if method and child.name == "__init__" else child.name
+            named = {a.arg for a in positional + args.kwonlyargs}
+            first = len(positional) - len(args.defaults)
+            found.extend((name, a.arg, first + i, named) for i, a in enumerate(positional[first:]))
+            found.extend((name, a.arg, None, named)
+                         for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+            if args.kwarg:
+                found.append((name, f"**{args.kwarg.arg}", None, named))
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def calls_by_name(trees: list[ast.Module]) -> dict[str, list[ast.Call]]:
+    """Every call in the modules, by the name it calls: `f(...)` and `x.f(...)` both name f."""
+    calls: dict[str, list[ast.Call]] = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, param: str, position: int | None, named: set[str]) -> bool:
+    """Whether `call` may pass `param`: by keyword, by position, through a
+    `*args` or `**kwargs` splat, or, for `**name`, by a keyword that names no
+    parameter."""
+    keywords = {k.arg for k in call.keywords}
+    if None in keywords:
+        return True
+    if param.startswith("**"):
+        return bool(keywords - named)
+    if param in keywords:
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def unpassed(package: list[ast.Module], callers: list[ast.Module]) -> list[str]:
+    """`function.parameter` for each defaulted parameter no call in `callers` passes."""
+    calls = calls_by_name(callers)
+    return sorted(f"{name}.{param}" for tree in package
+                  for name, param, position, named in defaulted_parameters(tree)
+                  if not any(passes(c, param, position, named) for c in calls.get(name, [])))
+
+
+def test_parameter_scan_flags_only_unpassed_defaults():
+    tree = ast.parse("def f(a, b=1, *, c=2, d, **kw):\n    pass\n"
+                     "def g(x=0, y=0):\n    def h(z=0):\n        pass\n"
+                     "class K:\n    def __init__(self, w=0):\n        pass\n"
+                     "    def m(self, v=0, u=0):\n        pass\n"
+                     "f(0, 1, d=3)\nf(0, d=3, e=4)\ng(*xs)\nK(w=1)\nk.m(1)\n")
+    assert [p[:3] for p in defaulted_parameters(tree)] == [
+        ("f", "b", 1), ("f", "c", None), ("f", "**kw", None), ("g", "x", 0), ("g", "y", 1),
+        ("h", "z", 0), ("K", "w", 0), ("m", "v", 0), ("m", "u", 1)]
+    assert unpassed([tree], [tree]) == ["f.c", "h.z", "m.u"]
+
+
+# Parameters with a default that only tests pass, with the tests that do.
+PASSED_ONLY_BY_TESTS = {
+    "main.argv": "tests/test_cli.py, test_fuzz.py, test_golden.py and test_acceptance.py",
+    "preset.**overrides": "tests/conftest.py, test_golden.py and test_harness.py",
+    "shapley_exact.variant": "tests/test_shapley.py",
+}
+
+
+def test_every_defaulted_parameter_is_passed():
+    package = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "msam").glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert sum(map(len, map(defaulted_parameters, package))) > 15  # the scan sees the package
+    assert unpassed(package, package + bench) == sorted(PASSED_ONLY_BY_TESTS)

@@ -394,6 +394,30 @@ def test_a_mask_outside_the_model_is_rejected_and_not_counted(mask):
         assert m.counters == before
 
 
+@pytest.mark.parametrize("mask", [(0, 1), 1.0, [1], "1"], ids=["tuple", "float", "list", "str"])
+def test_a_mask_that_is_not_an_integer_is_rejected_and_not_counted(mask):
+    # one error on every read path; a float 1.0 must not read row 1 by its hash
+    m = late_model()
+    xs, _ = make_batch(m)
+    message = f"coalition mask must be an integer, got {mask!r}"
+    full, partial = m.branch_cache(xs), m.branch_cache(xs, [0b01, 0b11])
+    for cache in (None, full, partial):
+        before = dict(m.counters)
+        with pytest.raises(UsageError) as err:
+            m.forward_masked(xs, mask, cache=cache)
+        assert str(err.value) == message
+        assert m.counters == before
+    for call in (lambda: mask_inputs(xs, mask), lambda: m.branch_cache(xs, [0b01, mask])):
+        with pytest.raises(UsageError) as err:
+            call()
+        assert str(err.value) == message
+    # numpy integers are integers
+    numpy_partial = m.branch_cache(xs, [np.int64(0b01), np.uint8(0b11)])
+    assert numpy_partial.table.tobytes() == partial.table.tobytes()
+    got = m.forward_masked(xs, np.intp(0b11), numpy_partial)
+    assert got.tobytes() == partial.table[1].tobytes()
+
+
 def test_masked_term_grads_vanish_off_coalition():
     m = late_model(bias=False)
     xs, labels = make_batch(m)
